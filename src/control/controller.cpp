@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/path_physics.hpp"
 #include "graph/shortest_path.hpp"
@@ -110,29 +111,18 @@ IrisController::IrisController(const fibermap::FiberMap& map,
                                const core::ProvisionedNetwork& network,
                                const core::AmpCutPlan& amp_cut,
                                DeviceLatencies latencies, FaultConfig faults)
-    : map_(map),
-      network_(network),
-      amp_cut_(amp_cut),
-      latencies_(latencies),
-      owned_devices_(
-          std::make_unique<DeviceLayer>(map, network, amp_cut, faults)),
-      devices_(owned_devices_.get()) {
-  const graph::Graph& g = map.graph();
-  fibers_provisioned_ = leased_fibers_per_duct(map, network, amp_cut);
-  duct_failed_.assign(g.edge_count(), false);
-  free_fibers_.resize(g.edge_count());
-  quarantined_fibers_.resize(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    init_pool(free_fibers_[e], fibers_provisioned_[e]);
-  }
-  free_amps_.resize(g.node_count());
-  quarantined_amps_.resize(g.node_count());
-  for (NodeId n = 0; n < g.node_count(); ++n) {
-    init_pool(free_amps_[n], amp_cut.amps_at_node[n]);
-  }
-  for (NodeId dc : map.dcs()) {
-    init_pool(free_add_drop_[dc], devices_->port_map(dc).add_drop_pairs());
-  }
+    : IrisController(
+          map, network, amp_cut,
+          std::make_unique<DeviceLayer>(map, network, amp_cut, faults),
+          latencies) {}
+
+IrisController::IrisController(const fibermap::FiberMap& map,
+                               const core::ProvisionedNetwork& network,
+                               const core::AmpCutPlan& amp_cut,
+                               std::unique_ptr<DeviceLayer> owned,
+                               DeviceLatencies latencies)
+    : IrisController(map, network, amp_cut, *owned, latencies) {
+  owned_devices_ = std::move(owned);
 }
 
 IrisController::IrisController(const fibermap::FiberMap& map,
@@ -170,30 +160,25 @@ void IrisController::jrec(JournalEntry entry) {
   obs::registry().add("controller.journal.records");
 }
 
-void IrisController::jrec_quarantine(int kind, int a, int b) {
-  if (journal_ == nullptr) return;
-  journal_->append(QuarantineRecord{kind, a, b});
-  obs::registry().add("controller.journal.records");
-}
-
-AllocationRecord IrisController::to_record(const Allocation& alloc) const {
-  AllocationRecord r;
-  r.fibers_per_hop = alloc.fibers_per_hop;
-  r.amp_site = alloc.amp_site;
-  r.amp_units = alloc.amp_units;
-  r.add_drop_a = alloc.add_drop_a;
-  r.add_drop_b = alloc.add_drop_b;
-  return r;
-}
-
 IrisController::Allocation IrisController::from_record(
     const Circuit& c, const AllocationRecord& rec) const {
-  Allocation a;
-  a.fibers_per_hop = rec.fibers_per_hop;
-  a.amp_site = rec.amp_site;
-  a.amp_units = rec.amp_units;
-  a.add_drop_a = rec.add_drop_a;
-  a.add_drop_b = rec.add_drop_b;
+  // planned_connects indexes every hop and fiber: a journaled shape that
+  // does not fit the circuit is corruption, never something to program.
+  const auto fits = [&](const std::vector<int>& v) {
+    return std::cmp_equal(v.size(), c.fiber_pairs);
+  };
+  if (c.route.edges.empty() ||
+      c.route.nodes.size() != c.route.edges.size() + 1 ||
+      rec.fibers_per_hop.size() != c.route.edges.size() ||
+      !std::all_of(rec.fibers_per_hop.begin(), rec.fibers_per_hop.end(),
+                   fits) ||
+      !fits(rec.add_drop_a) || !fits(rec.add_drop_b) ||
+      (rec.amp_site && !fits(rec.amp_units))) {
+    throw std::runtime_error(
+        "recover: corrupt journaled allocation: shape does not fit its "
+        "circuit");
+  }
+  Allocation a{rec, {}};
   a.connects = planned_connects(c, a);
   return a;
 }
@@ -317,7 +302,7 @@ std::optional<std::vector<int>> IrisController::take_healthy_amp_units(
       taken.push_back(unit);
     } else {
       quarantined_amps_[static_cast<std::size_t>(site)].push_back(unit);
-      jrec_quarantine(2, site, unit);
+      jrec(QuarantineRecord{2, site, unit});
       ++report.resources_quarantined;
     }
   }
@@ -430,7 +415,7 @@ void IrisController::establish(const Circuit& c, Allocation& alloc,
 
   // Intent goes durable here: the draws above are pure bookkeeping a
   // successor re-derives from the journal, the cross-connects below are not.
-  jrec(EstablishBeginRecord{c, to_record(alloc), current_slot_});
+  jrec(EstablishBeginRecord{c, alloc, current_slot_});
 
   for (const Connect& pc : planned_connects(c, alloc)) {
     const CommandResult r = run_with_retry(report, [&] {
@@ -455,8 +440,19 @@ void IrisController::unwind_allocation(const Circuit& c, Allocation& alloc,
   // Tear down the programmed cross-connects, newest first. A disconnect a
   // stuck mirror refuses after all retries leaves a zombie cross-connect:
   // it stays recorded (audits expect it on the device) and the resources
-  // whose ports it pins are quarantined so they are never re-issued.
+  // whose ports it pins are quarantined so they are never re-issued. Only a
+  // crash leaves an allocation whose connects the hardware lacks or already
+  // holds as zombies; crash-free, every connect is live.
   for (auto it = alloc.connects.rbegin(); it != alloc.connects.rend(); ++it) {
+    if (std::find(zombie_connects_.begin(), zombie_connects_.end(), *it) !=
+        zombie_connects_.end()) {
+      culprits.insert(res_for_port(it->site, it->in_port));
+      culprits.insert(res_for_port(it->site, it->out_port));
+      continue;
+    }
+    if (devices_->oss(it->site).output_for(it->in_port) != it->out_port) {
+      continue;
+    }
     const CommandResult r = run_with_retry(report, [&] {
       return devices_->oss(it->site).disconnect(it->in_port);
     });
@@ -480,7 +476,7 @@ void IrisController::unwind_allocation(const Circuit& c, Allocation& alloc,
     for (int idx : items) {
       if (culprits.contains(ResKey{kind, a, idx})) {
         quarantine.push_back(idx);
-        jrec_quarantine(kind, a, idx);
+        jrec(QuarantineRecord{kind, a, idx});
         ++report.resources_quarantined;
       } else {
         to_free.push_back(idx);
@@ -572,7 +568,7 @@ void IrisController::retune_all_dcs(ReconfigReport& report) {
           // Permanent tune failure: pull the transceiver from service and
           // carry the wavelength on the next one.
           quarantined_txs_[dc].insert(idx);
-          jrec_quarantine(3, dc, idx);
+          jrec(QuarantineRecord{3, dc, idx});
           ++report.resources_quarantined;
         }
         if (!tuned) ++report.wavelengths_untuned;
@@ -592,19 +588,7 @@ void IrisController::retune_all_dcs(ReconfigReport& report) {
 
 void IrisController::record_cmd(const DeviceCommand& cmd) {
   trace_.push_back(cmd);
-  if (plane_ != nullptr) {
-    plane_->on_command(cmd);
-    if (plane_->async()) obs::registry().add("controller.commands.batched");
-  }
-}
-
-void IrisController::drain_window(ReconfigReport& report, double& clock,
-                                  CommandPlane& plane, const char* what) {
-  report.drain_ms = latencies_.drain_window_ms;
-  clock += report.drain_ms;
-  report.timeline.push_back(
-      {clock, "drained " + std::to_string(report.torn_down.size()) + what});
-  plane.add_floor(report.drain_ms);
+  if (plane_ != nullptr) plane_->on_command(cmd);
 }
 
 ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
@@ -626,97 +610,104 @@ ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
     }
   }
 
-  std::vector<Circuit> target = circuits_for(tm);
-  ReconfigReport report;
+  ApplyPlan plan = plan_apply(circuits_for(tm));
   trace_.clear();
-
-  const auto same_circuit = [](const Circuit& a, const Circuit& b) {
-    return a.pair == b.pair && a.route.nodes == b.route.nodes &&
-           a.fiber_pairs == b.fiber_pairs;
-  };
-  std::vector<std::size_t> kept_idx, torn_idx;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    const auto it = std::find_if(target.begin(), target.end(),
-                                 [&](const Circuit& t) {
-                                   return same_circuit(t, active_[i]);
-                                 });
-    if (it == target.end()) {
-      report.torn_down.push_back(active_[i]);
-      torn_idx.push_back(i);
-    } else {
-      kept_idx.push_back(i);
-    }
-  }
-  for (const Circuit& t : target) {
-    const bool existed =
-        std::find_if(active_.begin(), active_.end(), [&](const Circuit& cur) {
-          return same_circuit(t, cur);
-        }) != active_.end();
-    if (!existed) report.set_up.push_back(t);
-  }
 
   // Admission pre-check for new circuits: fibers free after teardown (the
   // free pools already exclude quarantined fiber).
-  {
-    std::vector<long long> demand(map_.graph().edge_count(), 0);
-    for (const Circuit& c : report.set_up) {
-      for (EdgeId e : c.route.edges) demand[e] += c.fiber_pairs;
-    }
-    std::vector<long long> freed(map_.graph().edge_count(), 0);
-    for (const Circuit& c : report.torn_down) {
-      for (EdgeId e : c.route.edges) freed[e] += c.fiber_pairs;
-    }
-    for (EdgeId e = 0; e < map_.graph().edge_count(); ++e) {
-      const long long available =
-          static_cast<long long>(free_fibers_[e].size()) + freed[e];
-      if (demand[e] > available) {
-        throw std::runtime_error("apply_traffic_matrix: duct " +
-                                 std::to_string(e) + " fiber lease exhausted");
-      }
-      if (demand[e] > 0 && duct_failed_[e]) {
-        throw std::runtime_error("apply_traffic_matrix: route crosses failed duct");
-      }
-    }
+  const std::size_t n_ducts = free_fibers_.size();
+  std::vector<long long> demand(n_ducts, 0), freed(n_ducts, 0);
+  for (const Circuit& c : plan.set_up) {
+    for (EdgeId e : c.route.edges) demand[e] += c.fiber_pairs;
   }
-
+  for (const Circuit& c : plan.torn) {
+    for (EdgeId e : c.route.edges) freed[e] += c.fiber_pairs;
+  }
+  bool spare_for_both = true;
+  for (std::size_t e = 0; e < n_ducts; ++e) {
+    const auto free_now = static_cast<long long>(free_fibers_[e].size());
+    if (demand[e] > free_now + freed[e]) {
+      throw std::runtime_error("apply_traffic_matrix: duct " +
+                               std::to_string(e) + " fiber lease exhausted");
+    }
+    if (demand[e] > 0 && duct_failed_[e]) {
+      throw std::runtime_error("apply_traffic_matrix: route crosses failed duct");
+    }
+    spare_for_both = spare_for_both && demand[e] <= free_now;
+  }
   // Make-before-break is possible only if the spare pool can hold both
-  // circuit generations on every duct at once.
-  bool make_first =
-      strategy == ReconfigStrategy::kMakeBeforeBreak && !report.set_up.empty();
-  if (make_first) {
-    std::vector<long long> demand(map_.graph().edge_count(), 0);
-    for (const Circuit& c : report.set_up) {
-      for (EdgeId e : c.route.edges) demand[e] += c.fiber_pairs;
-    }
-    for (EdgeId e = 0; e < map_.graph().edge_count(); ++e) {
-      if (demand[e] > static_cast<long long>(free_fibers_[e].size())) {
-        make_first = false;  // fall back to the drain-first workflow
-        break;
-      }
+  // circuit generations on every duct at once; otherwise fall back to the
+  // drain-first workflow.
+  order_ops(plan,
+            strategy == ReconfigStrategy::kMakeBeforeBreak && spare_for_both);
+
+  ReconfigReport report;
+  report.torn_down = plan.torn;
+  report.set_up = plan.set_up;
+  CommandPlane plane = command_plane_for(plan);
+  report.schedule_slots = plane.async() ? plane.slot_count() : 0;
+
+  // The transaction opens. The effective strategy (after the fallback
+  // decision) is recorded so a recovering successor rebuilds the same plan;
+  // the slot count pins the async schedule shape.
+  plan.seq = applies_completed_;
+  jrec(BeginApplyRecord{
+      plan.seq,
+      static_cast<int>(plan.make_first ? ReconfigStrategy::kMakeBeforeBreak
+                                       : ReconfigStrategy::kBreakBeforeMake),
+      plan.target, report.schedule_slots});
+  ApplyCursor cur = begin_cursor(plan);
+  execute(plan, cur, plane, report, nullptr);
+
+  report.verified = audit_devices();
+  // The virtual-clock advance makes the controller.apply span report the
+  // command-plane makespan.
+  obs::registry().advance_virtual(report.makespan_ms / 1000.0);
+  maybe_checkpoint();
+  fold_apply_metrics(report, outcome_name(report.outcome));
+  return report;
+}
+
+IrisController::ApplyPlan IrisController::plan_apply(
+    std::vector<Circuit> target) const {
+  ApplyPlan plan;
+  plan.target = std::move(target);
+  for (const Circuit& c : active_) {
+    const auto it = std::find(plan.target.begin(), plan.target.end(), c);
+    if (it == plan.target.end()) {
+      plan.torn.push_back(c);
+    } else {
+      plan.kept.push_back(c);
+      plan.kept_waves.push_back(it->wavelengths);
     }
   }
+  for (const Circuit& c : plan.target) {
+    if (std::find(active_.begin(), active_.end(), c) == active_.end()) {
+      plan.set_up.push_back(c);
+    }
+  }
+  return plan;
+}
 
-  // All pre-device validation passed: plan the command schedule. Ops enter
-  // the plane in serial execution order (the order the historical controller
-  // processed them), so the serial plane's all-conflict graph reproduces it
-  // exactly and the async plane keeps every conflicting pair's relative
-  // order -- pool draws, and therefore the final state, match serial.
-  std::vector<char> torn_released(torn_idx.size(), 0);
-  const auto teardown_footprint = [&](std::size_t t) {
-    const std::size_t i = torn_idx[t];
+void IrisController::order_ops(ApplyPlan& plan, bool make_first) const {
+  std::vector<CommandOp> teardowns;
+  for (std::size_t t = 0; t < plan.torn.size(); ++t) {
+    const Circuit& c = plan.torn[t];
+    const Allocation& alloc =
+        allocations_[static_cast<std::size_t>(
+            std::find(active_.begin(), active_.end(), c) - active_.begin())];
     CommandOp op;
     op.teardown = true;
     op.index = t;
-    op.ducts = active_[i].route.edges;
-    op.dc_a = active_[i].pair.a;
-    op.dc_b = active_[i].pair.b;
-    if (allocations_[i].amp_site) {
-      op.amp_sites.push_back(*allocations_[i].amp_site);
-    }
-    return op;
-  };
-  const auto establish_footprint = [&](std::size_t k) {
-    const Circuit& c = report.set_up[k];
+    op.ducts = c.route.edges;
+    op.dc_a = c.pair.a;
+    op.dc_b = c.pair.b;
+    if (alloc.amp_site) op.amp_sites.push_back(*alloc.amp_site);
+    teardowns.push_back(std::move(op));
+  }
+  std::vector<CommandOp> establishes;
+  for (std::size_t k = 0; k < plan.set_up.size(); ++k) {
+    const Circuit& c = plan.set_up[k];
     CommandOp op;
     op.index = k;
     op.ducts = c.route.edges;
@@ -732,143 +723,88 @@ ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
         op.amp_sites.push_back(c.route.nodes[m]);
       }
     }
-    return op;
-  };
-  std::vector<CommandOp> plan_ops;
-  plan_ops.reserve(torn_idx.size() + report.set_up.size());
-  if (make_first) {
-    for (std::size_t k = 0; k < report.set_up.size(); ++k) {
-      plan_ops.push_back(establish_footprint(k));
-    }
-    for (std::size_t t = 0; t < torn_idx.size(); ++t) {
-      plan_ops.push_back(teardown_footprint(t));
-    }
-  } else {
-    for (std::size_t t = 0; t < torn_idx.size(); ++t) {
-      plan_ops.push_back(teardown_footprint(t));
-    }
-    for (std::size_t k = 0; k < report.set_up.size(); ++k) {
-      plan_ops.push_back(establish_footprint(k));
+    establishes.push_back(std::move(op));
+  }
+  // Ops enter the plane in serial execution order, so the serial plane's
+  // all-conflict graph reproduces it exactly and the async plane keeps
+  // every conflicting pair's relative order -- pool draws, and therefore the
+  // final state, match serial.
+  plan.make_first = make_first && !plan.set_up.empty();
+  auto& first = plan.make_first ? establishes : teardowns;
+  auto& second = plan.make_first ? teardowns : establishes;
+  plan.ops = std::move(first);
+  plan.ops.insert(plan.ops.end(), second.begin(), second.end());
+}
+
+IrisController::ApplyCursor IrisController::begin_cursor(
+    const ApplyPlan& plan) {
+  ApplyCursor cur;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (std::find(plan.torn.begin(), plan.torn.end(), active_[i]) !=
+        plan.torn.end()) {
+      cur.torn.emplace_back(std::move(allocations_[i]));
+    } else {
+      cur.kept.push_back(std::move(allocations_[i]));
     }
   }
+  cur.made.resize(plan.set_up.size());
+  cur.half.resize(plan.set_up.size());
+  active_.clear();
+  allocations_.clear();
+  return cur;
+}
+
+CommandPlane IrisController::command_plane_for(const ApplyPlan& plan) const {
   CommandPlane plane(plane_mode_,
                      CommandCosts{latencies_.oss_switch_ms,
                                   latencies_.transceiver_tune_ms,
                                   latencies_.amplifier_settle_ms});
-  plane.plan(std::move(plan_ops), make_first);
-  report.schedule_slots = plane.async() ? plane.slot_count() : 0;
+  plane.plan(plan.ops, plan.make_first);
+  return plane;
+}
+
+void IrisController::execute(const ApplyPlan& plan, ApplyCursor& cur,
+                             CommandPlane& plane, ReconfigReport& report,
+                             RecoveryReport* rr) {
   plane_ = &plane;
-  // The plane must never outlive this call (recover() and the next apply
-  // build their own), even when a crash or refusal unwinds through here.
+  // The plane must never outlive this call (the next apply or recovery
+  // builds its own), even when a crash or refusal unwinds through here;
+  // the commands it batched are counted then, once per transaction.
   struct PlaneScope {
     IrisController* self;
     ~PlaneScope() {
+      if (self->plane_->async()) {
+        obs::registry().add("controller.commands.batched",
+                            self->plane_->commands_issued());
+      }
       self->plane_ = nullptr;
       self->current_slot_ = -1;
       self->devices_->fault_injector().set_schedule_slot(-1);
     }
   } plane_scope{this};
 
-  // The transaction opens. The effective strategy (after the fallback
-  // decision) is recorded so a recovering successor re-derives the same
-  // teardown/establish order; the slot count pins the async schedule shape.
-  const std::uint64_t seq = applies_completed_;
-  jrec(BeginApplyRecord{
-      seq,
-      static_cast<int>(make_first ? ReconfigStrategy::kMakeBeforeBreak
-                                  : ReconfigStrategy::kBreakBeforeMake),
-      target, report.schedule_slots});
-
-  double clock = 0.0;
-  std::vector<Circuit> kept_c;
-  std::vector<Allocation> kept_a;
-  std::vector<long long> kept_orig_waves;
-  for (std::size_t i : kept_idx) {
-    // Wavelength counts may have changed on an unchanged circuit.
-    const auto it = std::find_if(target.begin(), target.end(),
-                                 [&](const Circuit& t) {
-                                   return same_circuit(t, active_[i]);
-                                 });
-    Circuit updated = active_[i];
-    kept_orig_waves.push_back(updated.wavelengths);
-    updated.wavelengths = it->wavelengths;
-    kept_c.push_back(std::move(updated));
-    kept_a.push_back(std::move(allocations_[i]));
+  // What a crash caught mid-unwind is finished first, whatever the order.
+  for (auto& [c, alloc] : cur.unwinding) {
+    unwind_allocation(c, alloc, report, {});
+    if (rr != nullptr) ++rr->completed_teardowns;
   }
-  const auto revert_kept_waves = [&] {
-    for (std::size_t j = 0; j < kept_c.size(); ++j) {
-      kept_c[j].wavelengths = kept_orig_waves[j];
-    }
-  };
+  cur.unwinding.clear();
 
-  // Once anything on a device has changed -- a cross-connect made or a torn
-  // circuit's teardown begun -- the transaction may no longer throw: every
-  // failure from here is resolved by retry, quarantine or rollback.
-  bool devices_touched = false;
-
-  std::vector<Circuit> added_c;
-  std::vector<Allocation> added_a;
-  int max_switch_sites = 0;
-  std::optional<std::string> establish_error;
-
-  // The apply is refused (books restored, nothing on a device changed):
-  // journal the terminal record before rethrowing so replay never sees an
-  // open transaction for it.
-  const auto refuse = [&](const std::string& error) {
-    jrec(ApplyEndRecord{seq, static_cast<int>(ApplyOutcome::kRolledBack),
-                        active_, expected_tuned_});
-    ++applies_completed_;
-    fold_apply_metrics(report, "refused");
-    throw std::runtime_error(error);
-  };
-
-  /// Compensating rollback for break-before-make: the torn circuits the
-  /// schedule already drained are off the devices, so re-establish them;
-  /// circuits whose teardown never ran are still live with their original
-  /// allocation and are simply kept. What cannot be restored is lost and
-  /// the apply is degraded.
-  const auto rollback_reestablish = [&] {
+  // The drain window shared by both strategies: charged to the report and
+  // the capacity-gap clock, and floored on the command plane so nothing
+  // issued later starts inside it.
+  double clock = 0.0;  // capacity-gap timeline
+  const auto drain_window = [&](const char* what) {
+    report.drain_ms = latencies_.drain_window_ms;
+    clock += report.drain_ms;
     report.timeline.push_back(
-        {clock, "apply failed: rolling back to pre-apply circuit set"});
-    for (std::size_t j = 0; j < added_c.size(); ++j) {
-      unwind_allocation(added_c[j], added_a[j], report, {});
-    }
-    added_c.clear();
-    added_a.clear();
-    std::vector<Circuit> restored_c;
-    std::vector<Allocation> restored_a;
-    for (std::size_t t = 0; t < report.torn_down.size(); ++t) {
-      const Circuit& c = report.torn_down[t];
-      if (!torn_released[t]) {
-        restored_c.push_back(c);
-        restored_a.push_back(std::move(allocations_[torn_idx[t]]));
-        continue;
-      }
-      Allocation alloc;
-      if (try_establish(c, alloc, report)) {
-        report.lost_circuits.push_back(c);
-      } else {
-        restored_c.push_back(c);
-        restored_a.push_back(std::move(alloc));
-      }
-    }
-    revert_kept_waves();
-    active_ = kept_c;
-    active_.insert(active_.end(), restored_c.begin(), restored_c.end());
-    allocations_ = std::move(kept_a);
-    std::move(restored_a.begin(), restored_a.end(),
-              std::back_inserter(allocations_));
-    if (report.lost_circuits.empty()) {
-      report.outcome = ApplyOutcome::kRolledBack;
-      report.timeline.push_back({clock, "pre-apply circuit set restored"});
-    } else {
-      report.outcome = ApplyOutcome::kDegraded;
-      report.timeline.push_back(
-          {clock, "DEGRADED: " + std::to_string(report.lost_circuits.size()) +
-                      " circuit(s) lost"});
-    }
+        {clock, "drained " + std::to_string(plan.torn.size()) + what});
+    plane.add_floor(report.drain_ms);
   };
-
+  if (!plan.make_first && !plan.torn.empty()) {
+    // Drain, tear down, set up -- in that order (SS5.2).
+    drain_window(" circuit(s)");
+  }
   // In make-before-break, traffic cuts over to the replacement generation
   // once every establish has succeeded: the generation barrier in the plan
   // guarantees the first teardown runs only after that point, so the
@@ -879,125 +815,78 @@ ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
     if (cutover_done) return;
     cutover_done = true;
     report.timeline.push_back({clock, "replacement circuits lit"});
-    if (!report.torn_down.empty()) {
-      drain_window(report, clock, plane, " old circuit(s)");
+    if (!plan.torn.empty()) {
+      drain_window(" old circuit(s)");
     }
   };
 
-  if (!make_first && !report.torn_down.empty()) {
-    // Drain, tear down, set up -- in that order (SS5.2).
-    drain_window(report, clock, plane, " circuit(s)");
-  }
-
-  std::vector<char> established(report.set_up.size(), 0);
   double charged_delay = 0.0;
-  bool establish_failed = false;
+  std::optional<std::string> error;
   for (std::size_t oi : plane.order()) {
     const CommandOp& op = plane.ops()[oi];
-    if (make_first && op.teardown) mbb_cutover();
+    const bool done = op.teardown ? !cur.torn[op.index].has_value()
+                                  : cur.made[op.index].has_value();
+    if (done) continue;  // finished before a crash
+    if (plan.make_first && op.teardown) mbb_cutover();
     current_slot_ = plane.async() ? plane.slot_of(oi) : -1;
     devices_->fault_injector().set_schedule_slot(current_slot_);
     plane.begin_op(oi);
     const double delay_before = report.fault_delay_ms;
     if (op.teardown) {
-      devices_touched = true;
-      const std::size_t i = torn_idx[op.index];
-      unwind_allocation(active_[i], allocations_[i], report, {});
-      torn_released[op.index] = 1;
+      cur.devices_touched = true;
+      unwind_allocation(plan.torn[op.index], *cur.torn[op.index], report, {});
+      cur.torn[op.index].reset();
+      if (rr != nullptr) ++rr->completed_teardowns;
     } else {
-      const Circuit& c = report.set_up[op.index];
-      const long long ops_before = report.oss_operations;
-      Allocation alloc;
-      establish_error = try_establish(c, alloc, report);
-      if (report.oss_operations != ops_before) devices_touched = true;
-      if (!establish_error) {
-        established[op.index] = 1;
-        added_c.push_back(c);
-        added_a.push_back(std::move(alloc));
-        max_switch_sites = std::max(
-            max_switch_sites, static_cast<int>(c.route.nodes.size()) - 2);
-      }
+      error = establish_op(plan, cur, op.index, report, rr);
     }
     const double op_delay = report.fault_delay_ms - delay_before;
     charged_delay += op_delay;
     plane.end_op(oi, op_delay);
     current_slot_ = -1;
     devices_->fault_injector().set_schedule_slot(-1);
-    if (establish_error) {
-      // Transaction aborts: unexecuted ops stay unexecuted; the failure
-      // handling below restores or rolls back.
-      establish_failed = true;
-      break;
-    }
+    // Transaction aborts: unexecuted ops stay unexecuted.
+    if (error) break;
   }
   plane.begin_tail();  // rollback/retune commands start after the schedule
 
-  if (establish_failed) {
-    for (std::size_t k = 0; k < report.set_up.size(); ++k) {
-      if (!established[k]) report.not_established.push_back(report.set_up[k]);
+  // All OSSes at one site switch in parallel; sites along a path settle in
+  // sequence, so the capacity gap grows with the deepest changed route
+  // (~50 ms via one hut, ~70 ms via two; SS6.2).
+  int max_switch_sites = 0;
+  const auto deepen = [&](const Circuit& c) {
+    max_switch_sites =
+        std::max(max_switch_sites, static_cast<int>(c.route.nodes.size()) - 2);
+  };
+  for (std::size_t k = 0; k < plan.set_up.size(); ++k) {
+    if (cur.made[k]) deepen(plan.set_up[k]);
+  }
+  std::for_each(plan.torn.begin(), plan.torn.end(), deepen);
+
+  if (error) {
+    for (std::size_t k = 0; k < plan.set_up.size(); ++k) {
+      if (!cur.made[k]) report.not_established.push_back(plan.set_up[k]);
     }
-    if (!devices_touched) {
-      // Nothing moved: keep the old generation fully intact (no teardown
-      // has run, so every torn circuit is still live).
-      revert_kept_waves();
-      std::vector<Circuit> restored = kept_c;
-      std::vector<Allocation> restored_a = std::move(kept_a);
-      for (std::size_t i : torn_idx) {
-        restored.push_back(std::move(active_[i]));
-        restored_a.push_back(std::move(allocations_[i]));
-      }
-      active_ = std::move(restored);
-      allocations_ = std::move(restored_a);
-      refuse(*establish_error);
-    }
-    if (make_first) {
-      // Devices changed while trying the new generation: unwind it; the old
-      // generation never stopped carrying traffic (the generation barrier
-      // means no teardown has run), so this is a pure rollback with no
-      // capacity gap.
-      for (std::size_t j = 0; j < added_c.size(); ++j) {
-        unwind_allocation(added_c[j], added_a[j], report, {});
-      }
-      added_c.clear();
-      added_a.clear();
-      revert_kept_waves();
-      std::vector<Circuit> restored = kept_c;
-      std::vector<Allocation> restored_a = std::move(kept_a);
-      for (std::size_t i : torn_idx) {
-        restored.push_back(std::move(active_[i]));
-        restored_a.push_back(std::move(allocations_[i]));
-      }
-      active_ = std::move(restored);
-      allocations_ = std::move(restored_a);
-      report.outcome = ApplyOutcome::kRolledBack;
-      report.hitless = true;
-      report.timeline.push_back(
-          {clock, "apply failed: replacement generation torn back down"});
-    } else {
-      rollback_reestablish();
-    }
+    rollback(plan, cur, report, clock, *error, rr);
   } else {
-    if (make_first) {
+    if (plan.make_first) {
       // Hitless: the replacements lit, traffic moved, the old generation
       // drained and tore down on the schedule above.
       mbb_cutover();
       report.hitless = true;
     }
-    active_ = kept_c;
-    active_.insert(active_.end(), added_c.begin(), added_c.end());
-    allocations_ = std::move(kept_a);
-    std::move(added_a.begin(), added_a.end(),
-              std::back_inserter(allocations_));
-  }
-  for (const Circuit& c : report.torn_down) {
-    max_switch_sites = std::max(
-        max_switch_sites, static_cast<int>(c.route.nodes.size()) - 2);
+    active_ = plan.kept;
+    for (std::size_t j = 0; j < active_.size(); ++j) {
+      active_[j].wavelengths = plan.kept_waves[j];
+    }
+    allocations_ = std::move(cur.kept);
+    for (std::size_t k = 0; k < plan.set_up.size(); ++k) {
+      active_.push_back(plan.set_up[k]);
+      allocations_.push_back(std::move(*cur.made[k]));
+    }
   }
 
-  if (!report.set_up.empty() || !report.torn_down.empty()) {
-    // All OSSes at one site switch in parallel; sites along a path settle in
-    // sequence, so the capacity gap grows with the deepest changed route
-    // (~50 ms via one hut, ~70 ms via two; SS6.2).
+  if (!plan.set_up.empty() || !plan.torn.empty()) {
     report.switch_ms = latencies_.oss_switch_ms * std::max(1, max_switch_sites);
     report.recovery_ms = latencies_.signal_recovery_ms;
     clock += report.switch_ms;
@@ -1016,28 +905,107 @@ ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
         {clock, "quarantined " + std::to_string(report.resources_quarantined) +
                     " failing resource(s)"});
   }
-  report.verified = audit_devices();
-  report.total_ms = clock + report.fault_delay_ms;
 
   // Command-plane makespan: drain windows, every issued device command on
   // its queue, retry backoff charged to the schedule, fault delay incurred
   // outside scheduled ops (rollback, retunes), and the receiver-relock tail.
-  // total_ms stays the capacity-gap model; this is the end-to-end wall time
-  // the async plane is measured on. The virtual-clock advance makes the
-  // controller.apply span report the same duration.
   plane.add_floor(std::max(0.0, report.fault_delay_ms - charged_delay));
   report.makespan_ms = plane.horizon_ms();
-  if (!report.set_up.empty() || !report.torn_down.empty()) {
+  if (!plan.set_up.empty() || !plan.torn.empty()) {
     report.makespan_ms += latencies_.signal_recovery_ms;
   }
-  obs::registry().advance_virtual(report.makespan_ms / 1000.0);
 
-  jrec(ApplyEndRecord{seq, static_cast<int>(report.outcome), active_,
+  jrec(ApplyEndRecord{plan.seq, static_cast<int>(report.outcome), active_,
                       expected_tuned_});
   ++applies_completed_;
-  maybe_checkpoint();
-  fold_apply_metrics(report, outcome_name(report.outcome));
-  return report;
+}
+
+std::optional<std::string> IrisController::establish_op(
+    const ApplyPlan& plan, ApplyCursor& cur, std::size_t k,
+    ReconfigReport& report, RecoveryReport* rr) {
+  const Circuit& c = plan.set_up[k];
+  if (cur.half[k]) {
+    // Half-programmed before a crash: finish it in place, or unwind what
+    // the hardware holds and fall through to fresh resources.
+    Allocation alloc = std::move(*cur.half[k]);
+    cur.half[k].reset();
+    try {
+      repair_connects(alloc, report, *rr);
+      jrec(EstablishDoneRecord{c});
+      cur.made[k] = std::move(alloc);
+      ++rr->finished_establishes;
+      return std::nullopt;
+    } catch (const DeviceCommandError& e) {
+      unwind_allocation(c, alloc, report,
+                        {res_for_port(e.site, e.in_port),
+                         res_for_port(e.site, e.out_port)});
+    }
+  }
+  const long long ops_before = report.oss_operations;
+  Allocation alloc;
+  auto error = try_establish(c, alloc, report);
+  if (report.oss_operations != ops_before) cur.devices_touched = true;
+  if (error) return error;
+  cur.made[k] = std::move(alloc);
+  if (rr != nullptr) ++rr->reissued_establishes;
+  return std::nullopt;
+}
+
+void IrisController::rollback(const ApplyPlan& plan, ApplyCursor& cur,
+                              ReconfigReport& report, double clock,
+                              const std::string& error, RecoveryReport* rr) {
+  report.timeline.push_back(
+      {clock, plan.make_first
+                  ? "apply failed: replacement generation torn back down"
+                  : "apply failed: rolling back to pre-apply circuit set"});
+  for (std::size_t k = 0; k < plan.set_up.size(); ++k) {
+    if (!cur.made[k]) continue;
+    unwind_allocation(plan.set_up[k], *cur.made[k], report, {});
+    cur.made[k].reset();
+  }
+  // Kept circuits first (pre-apply waves), then the torn ones: still live
+  // if their teardown never ran, re-established otherwise. Under
+  // make-before-break the generation barrier means none ran, so the old
+  // generation never stopped carrying traffic. What cannot be restored is
+  // lost and the apply is degraded.
+  active_ = plan.kept;
+  allocations_ = std::move(cur.kept);
+  bool broke = false;
+  for (std::size_t t = 0; t < plan.torn.size(); ++t) {
+    const Circuit& c = plan.torn[t];
+    if (!cur.torn[t]) {
+      broke = true;
+      cur.torn[t].emplace();
+      if (try_establish(c, *cur.torn[t], report)) {
+        report.lost_circuits.push_back(c);
+        continue;
+      }
+      if (rr != nullptr) ++rr->reissued_establishes;
+    }
+    active_.push_back(c);
+    allocations_.push_back(std::move(*cur.torn[t]));
+  }
+  if (!cur.devices_touched) {
+    // Nothing moved, so the books above are the pre-apply ones: journal the
+    // terminal record so replay never sees an open transaction, and refuse.
+    jrec(ApplyEndRecord{plan.seq, static_cast<int>(ApplyOutcome::kRolledBack),
+                        active_, expected_tuned_});
+    ++applies_completed_;
+    fold_apply_metrics(report, "refused");
+    throw std::runtime_error(error);
+  }
+  report.hitless = plan.make_first && !broke;
+  if (report.lost_circuits.empty()) {
+    report.outcome = ApplyOutcome::kRolledBack;
+    if (!plan.make_first) {
+      report.timeline.push_back({clock, "pre-apply circuit set restored"});
+    }
+  } else {
+    report.outcome = ApplyOutcome::kDegraded;
+    report.timeline.push_back(
+        {clock, "DEGRADED: " + std::to_string(report.lost_circuits.size()) +
+                    " circuit(s) lost"});
+  }
 }
 
 AuditReport IrisController::audit_report() const {
@@ -1188,8 +1156,7 @@ ControllerCheckpoint IrisController::snapshot() const {
   ControllerCheckpoint cp;
   cp.applies_completed = applies_completed_;
   cp.active = active_;
-  cp.allocations.reserve(allocations_.size());
-  for (const Allocation& a : allocations_) cp.allocations.push_back(to_record(a));
+  cp.allocations.assign(allocations_.begin(), allocations_.end());
   cp.free_fibers = free_fibers_;
   cp.quarantined_fibers = quarantined_fibers_;
   cp.free_amps = free_amps_;
@@ -1370,18 +1337,11 @@ void IrisController::install_stable(const ControllerCheckpoint& cp) {
   for (std::size_t i = 0; i < cp.active.size(); ++i) {
     allocations_.push_back(from_record(cp.active[i], cp.allocations[i]));
   }
-  quarantined_fibers_.assign(static_cast<std::size_t>(g.edge_count()), {});
-  for (std::size_t e = 0;
-       e < std::min(cp.quarantined_fibers.size(), quarantined_fibers_.size());
-       ++e) {
-    quarantined_fibers_[e] = cp.quarantined_fibers[e];
-  }
-  quarantined_amps_.assign(static_cast<std::size_t>(g.node_count()), {});
-  for (std::size_t n = 0;
-       n < std::min(cp.quarantined_amps.size(), quarantined_amps_.size());
-       ++n) {
-    quarantined_amps_[n] = cp.quarantined_amps[n];
-  }
+  // Shapes match the network (checked above) or are empty.
+  quarantined_fibers_ = cp.quarantined_fibers;
+  quarantined_fibers_.resize(static_cast<std::size_t>(g.edge_count()));
+  quarantined_amps_ = cp.quarantined_amps;
+  quarantined_amps_.resize(static_cast<std::size_t>(g.node_count()));
   quarantined_add_drop_ = cp.quarantined_add_drop;
   quarantined_txs_ = cp.quarantined_txs;
   zombie_connects_.clear();
@@ -1401,7 +1361,7 @@ void IrisController::install_stable(const ControllerCheckpoint& cp) {
 }
 
 void IrisController::derive_free_pools(
-    const std::vector<std::pair<Circuit, Allocation>>& pinned) {
+    const std::vector<std::pair<Circuit, Allocation>>& held) {
   const graph::Graph& g = map_.graph();
   std::vector<std::vector<char>> fiber_used(
       static_cast<std::size_t>(g.edge_count()));
@@ -1447,10 +1407,7 @@ void IrisController::derive_free_pools(
     for (int idx : a.add_drop_a) use(ad_used.at(c.pair.a), idx, "add/drop");
     for (int idx : a.add_drop_b) use(ad_used.at(c.pair.b), idx, "add/drop");
   };
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    use_alloc(active_[i], allocations_[i]);
-  }
-  for (const auto& [c, a] : pinned) use_alloc(c, a);
+  for (const auto& [c, a] : held) use_alloc(c, a);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     for (int idx : quarantined_fibers_[e]) {
       use(fiber_used[e], idx, "quarantined fiber");
@@ -1495,36 +1452,23 @@ void IrisController::repair_connects(Allocation& alloc, ReconfigReport& report,
     OpticalSpaceSwitch& sw = devices_->oss(k.site);
     const auto out = sw.output_for(k.in_port);
     if (out && *out == k.out_port) continue;  // already programmed
-    if (out) {
-      // The input is patched somewhere unplanned: clear it first.
+    const auto clear = [&](int in, int blamed_out) {
       const CommandResult r =
-          run_with_retry(report, [&] { return sw.disconnect(k.in_port); });
-      if (!r.ok()) {
-        throw DeviceCommandError{k.site, k.in_port, *out, r.detail};
-      }
-      record_cmd(OssDisconnectCmd{k.site, k.in_port});
+          run_with_retry(report, [&] { return sw.disconnect(in); });
+      if (!r.ok()) throw DeviceCommandError{k.site, in, blamed_out, r.detail};
+      record_cmd(OssDisconnectCmd{k.site, in});
       ++report.oss_operations;
       ++rr.connects_removed;
-    }
+    };
+    // The input is patched somewhere unplanned: clear it first.
+    if (out) clear(k.in_port, *out);
     if (sw.output_in_use(k.out_port)) {
-      // The planned output is held by a stale connect: find its input.
-      int stale_in = -1;
-      for (const auto& [in, o] : sw.connections()) {
-        if (o == k.out_port) {
-          stale_in = in;
-          break;
-        }
-      }
-      if (stale_in >= 0) {
-        const CommandResult r =
-            run_with_retry(report, [&] { return sw.disconnect(stale_in); });
-        if (!r.ok()) {
-          throw DeviceCommandError{k.site, stale_in, k.out_port, r.detail};
-        }
-        record_cmd(OssDisconnectCmd{k.site, stale_in});
-        ++report.oss_operations;
-        ++rr.connects_removed;
-      }
+      // The planned output is held by a stale connect: clear its input.
+      const auto& held = sw.connections();
+      const auto stale = std::find_if(held.begin(), held.end(), [&](auto& io) {
+        return io.second == k.out_port;
+      });
+      if (stale != held.end()) clear(stale->first, k.out_port);
     }
     const CommandResult r = run_with_retry(
         report, [&] { return sw.connect(k.in_port, k.out_port); });
@@ -1544,7 +1488,7 @@ void IrisController::quarantine_port_resource(NodeId site, int port) {
     if (it == pool.end()) return;  // allocated or already quarantined
     pool.erase(it);
     quarantine.push_back(b);
-    jrec_quarantine(kind, a, b);
+    jrec(QuarantineRecord{kind, a, b});
   };
   switch (kind) {
     case 0:
@@ -1581,92 +1525,89 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
   RecoveryReport rr;
   ReconfigReport report;  // absorbs retry/quarantine accounting
 
-  // Fold the interrupted apply's ops to each circuit's final journaled
-  // state: what was the controller doing to it when the crash hit?
-  enum class FState { kEstablishing, kEstablished, kTearing, kGone };
-  struct Fold {
-    Circuit circuit;
-    FState state = FState::kGone;
-    std::optional<Allocation> alloc;
-  };
-  std::vector<Fold> folds;
+  ApplyPlan plan;
+  ApplyCursor cur;
   if (intent.in_flight) {
+    const IntentJournal::InFlightApply& ifa = *intent.in_flight;
     rr.had_in_flight = true;
-    rr.resumed_seq = intent.in_flight->seq;
-    for (const IntentJournal::PendingOp& op : intent.in_flight->ops) {
-      auto it = std::find_if(
-          folds.begin(), folds.end(),
-          [&](const Fold& f) { return f.circuit == op.circuit; });
-      if (it == folds.end()) {
-        folds.push_back(Fold{op.circuit, FState::kGone, std::nullopt});
-        it = folds.end() - 1;
-      }
-      if (op.teardown) {
-        it->state = op.done ? FState::kGone : FState::kTearing;
-      } else {
-        it->state = op.done ? FState::kEstablished : FState::kEstablishing;
+    rr.resumed_seq = ifa.seq;
+    plan = plan_apply(ifa.target);
+    order_ops(plan, ifa.strategy ==
+                        static_cast<int>(ReconfigStrategy::kMakeBeforeBreak));
+    plan.seq = ifa.seq;
+    cur = begin_cursor(plan);
+    cur.devices_touched = true;  // a crash only lands on a device command
+
+    // Fold the journaled ops to each circuit's last op -- what was the
+    // controller doing to it when the crash hit? -- keeping the allocation
+    // its latest establish drew.
+    std::vector<IntentJournal::PendingOp> folds;
+    for (const IntentJournal::PendingOp& op : ifa.ops) {
+      auto it = std::find_if(folds.begin(), folds.end(), [&](const auto& f) {
+        return f.circuit == op.circuit;
+      });
+      if (it == folds.end()) it = folds.insert(folds.end(), op);
+      it->teardown = op.teardown;
+      it->done = op.done;
+      if (!op.teardown) {
         it->circuit = op.circuit;  // latest wavelength count wins
-        if (op.alloc) it->alloc = from_record(op.circuit, *op.alloc);
+        it->alloc = op.alloc;
+      }
+    }
+    // Position the cursor: a torn circuit stays pending until its teardown
+    // is done (holding whatever it was re-established on); a new circuit is
+    // made, half-programmed, or -- caught mid-unwind -- torn down first.
+    for (const IntentJournal::PendingOp& f : folds) {
+      const bool gone = f.teardown && f.done;
+      const auto t = std::find(plan.torn.begin(), plan.torn.end(), f.circuit);
+      const auto s =
+          std::find(plan.set_up.begin(), plan.set_up.end(), f.circuit);
+      if (t != plan.torn.end()) {
+        auto& alloc = cur.torn[static_cast<std::size_t>(t - plan.torn.begin())];
+        if (gone) {
+          alloc.reset();
+        } else if (f.alloc) {
+          alloc = from_record(f.circuit, *f.alloc);
+        }
+      } else if (gone || !f.alloc) {
+        continue;  // holds nothing
+      } else if (s == plan.set_up.end() || f.teardown) {
+        cur.unwinding.emplace_back(f.circuit, from_record(f.circuit, *f.alloc));
+      } else {
+        const auto k = static_cast<std::size_t>(s - plan.set_up.begin());
+        (f.done ? cur.made[k] : cur.half[k]) = from_record(f.circuit, *f.alloc);
       }
     }
   }
-
-  // Adjust the stable books to those final states, pinning the allocations
-  // of circuits that hold resources without being in the books
-  // (half-established or half-torn) so pool derivation sees them.
-  const auto book_index = [&](const Circuit& c) -> std::optional<std::size_t> {
-    const auto it = std::find(active_.begin(), active_.end(), c);
-    if (it == active_.end()) return std::nullopt;
-    return static_cast<std::size_t>(it - active_.begin());
-  };
-  std::vector<std::pair<Circuit, Allocation>> pinned;
-  for (const Fold& f : folds) {
-    const auto i = book_index(f.circuit);
-    switch (f.state) {
-      case FState::kGone:
-        if (i) {
-          active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(*i));
-          allocations_.erase(allocations_.begin() +
-                             static_cast<std::ptrdiff_t>(*i));
-        }
-        break;
-      case FState::kEstablished:
-        if (i) {
-          active_[*i] = f.circuit;
-          if (f.alloc) allocations_[*i] = *f.alloc;
-        } else if (f.alloc) {
-          active_.push_back(f.circuit);
-          allocations_.push_back(*f.alloc);
-        }
-        break;
-      case FState::kEstablishing:
-      case FState::kTearing:
-        if (i) {
-          if (f.alloc) allocations_[*i] = *f.alloc;
-        } else if (f.alloc) {
-          pinned.emplace_back(f.circuit, *f.alloc);
-        }
-        break;
-    }
+  // Everything holding resources: the books, or -- when a crash interrupted
+  // an apply -- the cursor, which took the books over.
+  std::vector<std::pair<Circuit, Allocation>> held = cur.unwinding;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    held.emplace_back(active_[i], allocations_[i]);
   }
-  derive_free_pools(pinned);
+  for (std::size_t j = 0; j < plan.kept.size(); ++j) {
+    held.emplace_back(plan.kept[j], cur.kept[j]);
+  }
+  for (std::size_t t = 0; t < plan.torn.size(); ++t) {
+    if (cur.torn[t]) held.emplace_back(plan.torn[t], *cur.torn[t]);
+  }
+  for (std::size_t k = 0; k < plan.set_up.size(); ++k) {
+    if (cur.made[k]) held.emplace_back(plan.set_up[k], *cur.made[k]);
+    if (cur.half[k]) held.emplace_back(plan.set_up[k], *cur.half[k]);
+  }
+  derive_free_pools(held);
 
-  // Orphan sweep BEFORE the roll-forward: every hardware cross-connect owned
-  // by neither a book circuit, a pinned in-flight allocation, nor a known
-  // zombie is adopted as a zombie and its ports quarantined. This matters
-  // when a torn journal tail dropped an establish record: the leftover
-  // cross-connects would otherwise collide with the ports a fresh
-  // establishment draws (the pools, derived from the journal alone, believe
-  // them free). Adopting first keeps every hardware-busy port out of the
-  // pools. When the journal is complete this sweep is a no-op.
+  // Orphan sweep BEFORE the resume: every hardware cross-connect owned by
+  // neither a held allocation nor a known zombie is adopted as a zombie and
+  // its ports quarantined. This matters when a torn journal tail dropped an
+  // establish record: the leftover cross-connects would otherwise collide
+  // with the ports a fresh establishment draws (the pools, derived from the
+  // journal alone, believe them free). Adopting first keeps every
+  // hardware-busy port out of the pools. When the journal is complete this
+  // sweep is a no-op.
   {
     std::set<std::tuple<NodeId, int, int>> expected;
-    for (const Allocation& a : allocations_) {
-      for (const Connect& k : a.connects) {
-        expected.insert({k.site, k.in_port, k.out_port});
-      }
-    }
-    for (const auto& [c, a] : pinned) {
+    for (const auto& [c, a] : held) {
       for (const Connect& k : a.connects) {
         expected.insert({k.site, k.in_port, k.out_port});
       }
@@ -1687,234 +1628,11 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
     }
   }
 
-  // Roll the interrupted apply forward to its journaled target, in the
-  // order the recorded strategy would have used.
-  std::optional<std::string> resume_error;
+  // Resume the interrupted apply on the same executor that started it.
   if (intent.in_flight) {
-    const IntentJournal::InFlightApply& ifa = *intent.in_flight;
-    const std::vector<Circuit>& target = ifa.target;
-
-    const auto is_zombie = [&](const Connect& k) {
-      return std::find(zombie_connects_.begin(), zombie_connects_.end(), k) !=
-             zombie_connects_.end();
-    };
-    // The subset of an allocation's connects actually present on hardware;
-    // zombies among them become teardown culprits instead.
-    const auto hw_present = [&](const Allocation& a,
-                                std::set<ResKey>& culprits) {
-      Allocation present = a;
-      present.connects.clear();
-      for (const Connect& k : a.connects) {
-        if (is_zombie(k)) {
-          culprits.insert(res_for_port(k.site, k.in_port));
-          culprits.insert(res_for_port(k.site, k.out_port));
-          continue;
-        }
-        const auto out = devices_->oss(k.site).output_for(k.in_port);
-        if (out && *out == k.out_port) present.connects.push_back(k);
-      }
-      return present;
-    };
-    const auto finish_teardown = [&](const Circuit& c, const Allocation& a) {
-      std::set<ResKey> culprits;
-      Allocation present = hw_present(a, culprits);
-      unwind_allocation(c, present, report, std::move(culprits));
-      ++rr.completed_teardowns;
-    };
-
-    // Half-torn circuits that never reached the books: finish their
-    // teardown first, whatever the strategy.
-    for (Fold& f : folds) {
-      if (f.state != FState::kTearing || !f.alloc || book_index(f.circuit)) {
-        continue;
-      }
-      finish_teardown(f.circuit, *f.alloc);
-      f.state = FState::kGone;
-    }
-
-    const auto in_target = [&](const Circuit& c) {
-      return std::find(target.begin(), target.end(), c) != target.end();
-    };
-    const auto do_teardowns = [&] {
-      for (std::size_t i = 0; i < active_.size();) {
-        if (in_target(active_[i])) {
-          ++i;
-          continue;
-        }
-        const Circuit c = active_[i];
-        Allocation a = std::move(allocations_[i]);
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-        allocations_.erase(allocations_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        finish_teardown(c, a);
-      }
-    };
-    const auto do_establishes = [&] {
-      for (const Circuit& t : target) {
-        if (book_index(t)) continue;  // adopted, kept, or already finished
-        const auto fit = std::find_if(
-            folds.begin(), folds.end(),
-            [&](const Fold& f) { return f.circuit == t; });
-        if (fit != folds.end() && fit->state == FState::kEstablishing &&
-            fit->alloc) {
-          // Half-programmed pre-crash: finish it in place.
-          Allocation a = *fit->alloc;
-          try {
-            repair_connects(a, report, rr);
-            jrec(EstablishDoneRecord{t});
-            active_.push_back(t);
-            allocations_.push_back(std::move(a));
-            ++rr.finished_establishes;
-            continue;
-          } catch (const DeviceCommandError& e) {
-            std::set<ResKey> culprits{res_for_port(e.site, e.in_port),
-                                      res_for_port(e.site, e.out_port)};
-            Allocation present = hw_present(*fit->alloc, culprits);
-            unwind_allocation(t, present, report, std::move(culprits));
-            // Fall through to a fresh establishment on new resources.
-          }
-        }
-        Allocation a;
-        if (const auto err = try_establish(t, a, report)) {
-          resume_error = err;
-          continue;
-        }
-        active_.push_back(t);
-        allocations_.push_back(std::move(a));
-        ++rr.reissued_establishes;
-      }
-    };
-    // An apply whose target cannot be fully established must not commit a
-    // partial target: the crash-free execution would have compensated back
-    // to the pre-apply circuit set, and recovery has to land on the same
-    // state or the two histories diverge. Mirrors apply_traffic_matrix's
-    // rollback paths: make-before-break keeps the still-untouched old
-    // generation; break-before-make re-establishes what was already torn
-    // (anything unrestorable is lost and the apply is degraded).
-    const auto in_stable = [&](const Circuit& c) {
-      return std::find(intent.stable.active.begin(),
-                       intent.stable.active.end(),
-                       c) != intent.stable.active.end();
-    };
-    std::optional<ApplyOutcome> rolled_back;
-    const auto rollback_to_stable = [&] {
-      // Tear the partially established target generation back down.
-      for (std::size_t i = 0; i < active_.size();) {
-        if (in_stable(active_[i])) {
-          ++i;
-          continue;
-        }
-        const Circuit c = active_[i];
-        Allocation a = std::move(allocations_[i]);
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-        allocations_.erase(allocations_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        std::set<ResKey> culprits;
-        Allocation present = hw_present(a, culprits);
-        unwind_allocation(c, present, report, std::move(culprits));
-      }
-      // Restore the stable set in the order the failed apply would have
-      // left it: kept circuits first (pre-apply order, pre-apply
-      // wavelengths), then the torn ones re-established.
-      std::vector<Circuit> restored_c;
-      std::vector<Allocation> restored_a;
-      std::vector<Circuit> lost;
-      for (const int torn_pass : {0, 1}) {
-        for (const Circuit& s : intent.stable.active) {
-          if (in_target(s) != (torn_pass == 0)) continue;
-          if (const auto i = book_index(s)) {
-            restored_c.push_back(active_[*i]);
-            restored_a.push_back(std::move(allocations_[*i]));
-            active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(*i));
-            allocations_.erase(allocations_.begin() +
-                               static_cast<std::ptrdiff_t>(*i));
-          } else {
-            Allocation a;
-            if (try_establish(s, a, report)) {
-              lost.push_back(s);
-            } else {
-              restored_c.push_back(s);
-              restored_a.push_back(std::move(a));
-              ++rr.reissued_establishes;
-            }
-          }
-        }
-      }
-      active_ = std::move(restored_c);
-      allocations_ = std::move(restored_a);
-      rolled_back = lost.empty() ? ApplyOutcome::kRolledBack
-                                 : ApplyOutcome::kDegraded;
-    };
-    // Make-before-break may only roll back while the old generation is
-    // still whole: a journaled teardown of a STABLE circuit means the break
-    // phase began. Teardowns of non-stable circuits are the apply's own
-    // on-device rollback unwinding its replacement generation -- those
-    // leave the old generation untouched.
-    bool stable_teardown_started = false;
-    for (const IntentJournal::PendingOp& op : ifa.ops) {
-      if (op.teardown && in_stable(op.circuit)) stable_teardown_started = true;
-    }
-    if (ifa.strategy == static_cast<int>(ReconfigStrategy::kMakeBeforeBreak)) {
-      do_establishes();
-      if (resume_error && !stable_teardown_started) {
-        rollback_to_stable();  // the old generation never stopped carrying
-      } else {
-        do_teardowns();
-      }
-    } else {
-      do_teardowns();
-      do_establishes();
-      if (resume_error) rollback_to_stable();
-    }
-
-    if (!rolled_back) {
-      // Re-order the books exactly as the crash-free apply would have left
-      // them: kept circuits in pre-apply order (wavelengths from the
-      // target), then new circuits in target order.
-      std::vector<Circuit> final_c;
-      std::vector<Allocation> final_a;
-      const auto take_books = [&](const Circuit& c, long long waves) {
-        const auto i = book_index(c);
-        if (!i) return;
-        Circuit cc = active_[*i];
-        cc.wavelengths = waves;
-        final_c.push_back(std::move(cc));
-        final_a.push_back(std::move(allocations_[*i]));
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(*i));
-        allocations_.erase(allocations_.begin() +
-                           static_cast<std::ptrdiff_t>(*i));
-      };
-      for (const Circuit& s : intent.stable.active) {
-        const auto t = std::find(target.begin(), target.end(), s);
-        if (t != target.end()) take_books(s, t->wavelengths);
-      }
-      for (const Circuit& t : target) {
-        if (std::find(intent.stable.active.begin(),
-                      intent.stable.active.end(),
-                      t) == intent.stable.active.end()) {
-          take_books(t, t.wavelengths);
-        }
-      }
-      for (std::size_t i = 0; i < active_.size(); ++i) {
-        final_c.push_back(std::move(active_[i]));  // defensive: none expected
-        final_a.push_back(std::move(allocations_[i]));
-      }
-      active_ = std::move(final_c);
-      allocations_ = std::move(final_a);
-    }
-
-    retune_all_dcs(report);
-    // An untuned wavelength degrades a committed apply but not a rollback,
-    // exactly as in apply_traffic_matrix.
-    const ApplyOutcome outcome =
-        rolled_back ? *rolled_back
-                    : ((resume_error || report.wavelengths_untuned > 0)
-                           ? ApplyOutcome::kDegraded
-                           : ApplyOutcome::kCommitted);
-    rr.resumed_outcome = outcome;
-    jrec(ApplyEndRecord{ifa.seq, static_cast<int>(outcome), active_,
-                        expected_tuned_});
-    ++applies_completed_;
+    CommandPlane plane = command_plane_for(plan);
+    execute(plan, cur, plane, report, &rr);
+    rr.resumed_outcome = report.outcome;
   }
 
   // Defensive convergence: re-program any recorded cross-connect the

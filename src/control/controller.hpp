@@ -72,7 +72,6 @@ struct ReconfigReport {
   double drain_ms = 0.0;              ///< waiting for traffic to drain
   double switch_ms = 0.0;             ///< OSS reconfiguration window
   double recovery_ms = 0.0;           ///< receiver relock after switching
-  double total_ms = 0.0;
   bool verified = false;              ///< post-apply device-state audit
   bool hitless = false;  ///< make-before-break succeeded: no capacity gap
   std::vector<ReconfigStep> timeline;
@@ -90,10 +89,10 @@ struct ReconfigReport {
 
   /// End-to-end reconfiguration makespan on the command plane's virtual
   /// clock: drain windows + per-command device latencies + retry backoff +
-  /// receiver relock. Unlike `total_ms` (the capacity-gap model), this
-  /// charges every issued device command, so it is the serial baseline the
-  /// async plane's speedup is measured against. Matches the duration of the
-  /// obs `controller.apply` span.
+  /// receiver relock. Unlike capacity_gap_ms(), this charges every issued
+  /// device command, so it is the serial baseline the async plane's speedup
+  /// is measured against. Matches the duration of the obs `controller.apply`
+  /// span.
   double makespan_ms = 0.0;
   /// Command-plane schedule slots this apply used (0 = serial plane).
   int schedule_slots = 0;
@@ -215,12 +214,17 @@ class IrisController {
   /// Cold-restart reconciliation. Call on a freshly constructed controller
   /// (external-DeviceLayer form, no applies yet): rebuilds intent from the
   /// journal's checkpoint + log replay, interrogates the live devices, and
-  /// converges the two -- surviving circuits are adopted, a half-finished
-  /// apply is rolled forward to its target, orphaned cross-connects are
-  /// reclassified as zombies, and every free pool is re-derived from the
-  /// provisioned inventory. The journal is attached (recovery itself is
-  /// journaled, so a crash during recovery is recoverable too) and a fresh
-  /// checkpoint is written at the end. audit_devices() holds on return.
+  /// converges the two. Surviving circuits are adopted, orphaned
+  /// cross-connects are reclassified as zombies, and every free pool is
+  /// re-derived from the provisioned inventory. A half-finished apply is
+  /// resumed, not re-implemented: its plan is rebuilt from the journaled
+  /// target and strategy, the journaled ops position the cursor (finished
+  /// ops are skipped, half-programmed establishes are finished in place),
+  /// and apply_traffic_matrix's executor runs the rest -- committing the
+  /// target, or rolling back exactly as the crash-free apply would have.
+  /// The journal is attached (recovery itself is journaled, so a crash
+  /// during recovery is recoverable too) and a fresh checkpoint is written
+  /// at the end. audit_devices() holds on return.
   RecoveryReport recover(IntentJournal& journal);
 
   /// Computes the circuits a traffic matrix needs: one circuit per DC pair
@@ -370,14 +374,10 @@ class IrisController {
 
     friend bool operator==(const Connect&, const Connect&) = default;
   };
-  /// Resources held by an active circuit.
-  struct Allocation {
-    std::vector<std::vector<int>> fibers_per_hop;  ///< per route edge
+  /// Resources held by an active circuit: the journaled pool draws plus
+  /// the cross-connects programmed from them.
+  struct Allocation : AllocationRecord {
     std::vector<Connect> connects;
-    std::optional<graph::NodeId> amp_site;
-    std::vector<int> amp_units;        ///< amplifier indices at amp_site
-    std::vector<int> add_drop_a;       ///< add/drop pair indices at pair.a
-    std::vector<int> add_drop_b;       ///< ... and at pair.b
   };
 
   /// A concrete allocatable resource, for quarantine bookkeeping.
@@ -393,6 +393,40 @@ class IrisController {
     int out_port;
     std::string detail;
   };
+
+  /// One reconfiguration as plain data: the circuit diff against the books
+  /// and the command-plane op order for the effective strategy.
+  struct ApplyPlan {
+    std::uint64_t seq = 0;
+    bool make_first = false;  ///< effective strategy is make-before-break
+    std::vector<Circuit> target;
+    std::vector<Circuit> kept;  ///< survivors, books order, pre-apply waves
+    std::vector<long long> kept_waves;  ///< ... and their target waves
+    std::vector<Circuit> torn;          ///< torn down, books order
+    std::vector<Circuit> set_up;        ///< new circuits, target order
+    std::vector<CommandOp> ops;         ///< CommandPlane insertion order
+  };
+  /// The executor's position in a plan: which ops have run and what each
+  /// circuit holds. apply_traffic_matrix starts it from the books;
+  /// recover() rebuilds it from the journal's in-flight apply.
+  struct ApplyCursor {
+    std::vector<Allocation> kept;                 ///< parallel to plan.kept
+    std::vector<std::optional<Allocation>> torn;  ///< nullopt = torn down
+    std::vector<std::optional<Allocation>> made;  ///< established set_up
+    /// Set_up circuits a crash left half-programmed: finished in place.
+    std::vector<std::optional<Allocation>> half;
+    /// Allocations a crash caught mid-unwind: torn down before resuming.
+    std::vector<std::pair<Circuit, Allocation>> unwinding;
+    bool devices_touched = false;
+  };
+
+  /// Private owner of the self-contained form: delegates to the
+  /// external-layer constructor, then takes ownership of `owned`.
+  IrisController(const fibermap::FiberMap& map,
+                 const core::ProvisionedNetwork& network,
+                 const core::AmpCutPlan& amp_cut,
+                 std::unique_ptr<DeviceLayer> owned,
+                 DeviceLatencies latencies);
 
   [[nodiscard]] long long dc_capacity_wavelengths(graph::NodeId dc) const;
   [[nodiscard]] long long usable_tx_count(graph::NodeId dc) const;
@@ -418,7 +452,9 @@ class IrisController {
   /// the partial allocation.
   void establish(const Circuit& c, Allocation& alloc, ReconfigReport& report);
   /// Tears down an allocation and returns its resources to the free pools,
-  /// except `culprits`, which are quarantined. Disconnects that fail after
+  /// except `culprits`, which are quarantined. Only cross-connects the
+  /// hardware still carries are disconnected; known zombies among them mark
+  /// their ports' resources culprits instead. Disconnects that fail after
   /// all retries leave zombie cross-connects; their resources are
   /// quarantined too. Never throws.
   void unwind_allocation(const Circuit& c, Allocation& alloc,
@@ -430,20 +466,42 @@ class IrisController {
                                            ReconfigReport& report);
   void retune_all_dcs(ReconfigReport& report);
   /// Records one issued device command: appends to the trace and, when a
-  /// command plane is live (inside apply_traffic_matrix), charges it onto
-  /// the plane's virtual clock.
+  /// command plane is live (inside execute()), charges it onto the plane's
+  /// virtual clock.
   void record_cmd(const DeviceCommand& cmd);
-  /// The drain window shared by both strategies: charges
-  /// `drain_window_ms` to the report and the capacity-gap clock, emits the
-  /// timeline entry, and floors the command plane so nothing issued later
-  /// starts inside the window.
-  void drain_window(ReconfigReport& report, double& clock, CommandPlane& plane,
-                    const char* what);
+
+  // ---- the transaction executor ----
+  /// Diffs `target` against the books into kept, torn and set-up circuits.
+  [[nodiscard]] ApplyPlan plan_apply(std::vector<Circuit> target) const;
+  /// Fixes the effective strategy and the op order: establishes first when
+  /// `make_first` (and there is anything to make), teardowns first
+  /// otherwise. Runs once the plan is admitted, while the books still hold
+  /// the torn circuits' allocations.
+  void order_ops(ApplyPlan& plan, bool make_first) const;
+  /// Moves the plan's circuits out of the books into a fresh cursor.
+  ApplyCursor begin_cursor(const ApplyPlan& plan);
+  [[nodiscard]] CommandPlane command_plane_for(const ApplyPlan& plan) const;
+  /// Runs every op the cursor has not finished, in plane order, then
+  /// commits the target or calls rollback(); retunes, and journals
+  /// apply_end. `rr` is set when recover() resumes a crashed apply.
+  void execute(const ApplyPlan& plan, ApplyCursor& cur, CommandPlane& plane,
+               ReconfigReport& report, RecoveryReport* rr);
+  /// Establishes set_up[k]: a half-programmed allocation is finished in
+  /// place, anything else drawn fresh. Returns the error on failure.
+  std::optional<std::string> establish_op(const ApplyPlan& plan,
+                                          ApplyCursor& cur, std::size_t k,
+                                          ReconfigReport& report,
+                                          RecoveryReport* rr);
+  /// The single compensating path: refuses the apply (throws) when no
+  /// device was touched; otherwise unwinds the new generation and restores
+  /// the pre-apply set, re-establishing torn circuits -- a make-before-break
+  /// apply has none, so its rollback is hitless.
+  void rollback(const ApplyPlan& plan, ApplyCursor& cur,
+                ReconfigReport& report, double clock, const std::string& error,
+                RecoveryReport* rr);
 
   // ---- journal plumbing ----
   void jrec(JournalEntry entry);
-  void jrec_quarantine(int kind, int a, int b);
-  [[nodiscard]] AllocationRecord to_record(const Allocation& alloc) const;
   [[nodiscard]] Allocation from_record(const Circuit& c,
                                        const AllocationRecord& rec) const;
   /// Appends a checkpoint if the interval says so.
@@ -453,11 +511,11 @@ class IrisController {
   /// Installs the replayed stable books (everything except free pools).
   void install_stable(const ControllerCheckpoint& stable);
   /// Rebuilds every free pool as the descending-sorted complement of
-  /// (allocated in books) + `pinned` + quarantined over the provisioned
-  /// inventory. The complement is byte-equal to incrementally maintained
-  /// pools because take/return keep pools canonical.
+  /// `held` + quarantined over the provisioned inventory. The complement is
+  /// byte-equal to incrementally maintained pools because take/return keep
+  /// pools canonical.
   void derive_free_pools(
-      const std::vector<std::pair<Circuit, Allocation>>& pinned);
+      const std::vector<std::pair<Circuit, Allocation>>& held);
   /// Programs any of the allocation's planned connects missing from the
   /// OSS read-back, in plan order; fixes inputs patched to a wrong output.
   /// Throws DeviceCommandError if a connect cannot be made.
@@ -471,14 +529,14 @@ class IrisController {
   core::AmpCutPlan amp_cut_;
   DeviceLatencies latencies_;
 
-  /// Hardware. Either owned (legacy construction) or external and
-  /// crash-surviving; all device access goes through the pointer.
+  /// Hardware, external and crash-surviving; all device access goes through
+  /// the pointer. The self-contained form also owns it.
   std::unique_ptr<DeviceLayer> owned_devices_;
   DeviceLayer* devices_ = nullptr;
 
   IntentJournal* journal_ = nullptr;  ///< not owned; nullptr = no journaling
   CommandPlaneMode plane_mode_ = CommandPlaneMode::kSerial;
-  CommandPlane* plane_ = nullptr;  ///< live only inside apply_traffic_matrix
+  CommandPlane* plane_ = nullptr;  ///< live only inside execute()
   int current_slot_ = -1;          ///< schedule slot of the op being executed
   int checkpoint_every_ = 16;
   std::uint64_t applies_completed_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -201,6 +202,18 @@ class Line {
     if (!(ss_ >> v)) parse_fail(line_no_, std::string("expected ") + what);
     return v;
   }
+  /// A node, edge, DC, port or pool index: non-negative and int-sized. A
+  /// torn write only truncates, so it can never produce such a value -- a
+  /// bad index is corruption and throws past the torn-tail tolerance.
+  int index(const char* what) {
+    const long long v = num(what);
+    if (v < 0 || v > std::numeric_limits<int>::max()) {
+      throw std::runtime_error("journal: line " + std::to_string(line_no_) +
+                               ": bad " + what + " index " +
+                               std::to_string(v));
+    }
+    return static_cast<int>(v);
+  }
   int count(const char* what) {
     const long long v = num(what);
     if (v < 0 || v > (1LL << 24)) {
@@ -264,26 +277,26 @@ std::vector<int> read_list(Line& ln, const char* what) {
   const int n = ln.count(what);
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(static_cast<int>(ln.num(what)));
+  for (int i = 0; i < n; ++i) out.push_back(ln.index(what));
   return out;
 }
 
 Circuit parse_circuit(Line& ln) {
   ln.expect("circuit");
   Circuit c;
-  c.pair.a = static_cast<graph::NodeId>(ln.num("pair.a"));
-  c.pair.b = static_cast<graph::NodeId>(ln.num("pair.b"));
+  c.pair.a = ln.index("pair.a");
+  c.pair.b = ln.index("pair.b");
   c.fiber_pairs = static_cast<int>(ln.num("fiber_pairs"));
   c.wavelengths = ln.num("wavelengths");
   const int nn = ln.count("node count");
   c.route.nodes.reserve(static_cast<std::size_t>(nn));
   for (int i = 0; i < nn; ++i) {
-    c.route.nodes.push_back(static_cast<graph::NodeId>(ln.num("node")));
+    c.route.nodes.push_back(ln.index("node"));
   }
   const int ne = ln.count("edge count");
   c.route.edges.reserve(static_cast<std::size_t>(ne));
   for (int i = 0; i < ne; ++i) {
-    c.route.edges.push_back(static_cast<graph::EdgeId>(ln.num("edge")));
+    c.route.edges.push_back(ln.index("edge"));
   }
   c.route.length_km = ln.real("length_km");
   ln.end();
@@ -299,7 +312,7 @@ AllocationRecord parse_alloc(Line& ln) {
     a.fibers_per_hop.push_back(read_list(ln, "hop fibers"));
   }
   if (ln.num("amp flag") != 0) {
-    a.amp_site = static_cast<graph::NodeId>(ln.num("amp site"));
+    a.amp_site = ln.index("amp site");
   }
   a.amp_units = read_list(ln, "amp units");
   a.add_drop_a = read_list(ln, "add/drop a");
@@ -310,9 +323,9 @@ AllocationRecord parse_alloc(Line& ln) {
 
 ZombieConnect parse_zombie_fields(Line& ln) {
   ZombieConnect z;
-  z.site = static_cast<graph::NodeId>(ln.num("zombie site"));
-  z.in_port = static_cast<int>(ln.num("zombie in_port"));
-  z.out_port = static_cast<int>(ln.num("zombie out_port"));
+  z.site = ln.index("zombie site");
+  z.in_port = ln.index("zombie in_port");
+  z.out_port = ln.index("zombie out_port");
   ln.end();
   return z;
 }
@@ -363,7 +376,7 @@ JournalEntry parse_checkpoint(Line& header, Body& body) {
     for (int i = 0; i < dcs; ++i) {
       Line p = body.next("add/drop pool");
       p.expect("dcpool");
-      const auto dc = static_cast<graph::NodeId>(p.num("dc"));
+      const graph::NodeId dc = p.index("dc");
       s.free_add_drop[dc] = read_list(p, "free add/drop");
       s.quarantined_add_drop[dc] = read_list(p, "quarantined add/drop");
       p.end();
@@ -377,7 +390,7 @@ JournalEntry parse_checkpoint(Line& header, Body& body) {
     for (int i = 0; i < dcs; ++i) {
       Line p = body.next("tx set");
       p.expect("dctxs");
-      const auto dc = static_cast<graph::NodeId>(p.num("dc"));
+      const graph::NodeId dc = p.index("dc");
       auto& set = s.quarantined_txs[dc];
       for (int t : read_list(p, "quarantined txs")) set.insert(t);
       p.end();
@@ -402,7 +415,7 @@ JournalEntry parse_checkpoint(Line& header, Body& body) {
     for (int i = 0; i < n; ++i) {
       Line t = body.next("tuned");
       t.expect("tuned");
-      const auto dc = static_cast<graph::NodeId>(t.num("dc"));
+      const graph::NodeId dc = t.index("dc");
       s.expected_tuned[dc] = t.num("tuned count");
       t.end();
     }
@@ -472,8 +485,8 @@ JournalEntry parse_record(Body& body) {
   if (kw == "quarantine") {
     QuarantineRecord r;
     r.kind = static_cast<int>(ln.num("kind"));
-    r.a = static_cast<int>(ln.num("a"));
-    r.b = static_cast<int>(ln.num("b"));
+    r.a = ln.index("quarantine duct/site");
+    r.b = ln.index("quarantine unit");
     ln.end();
     if (r.kind < 0 || r.kind > 3) parse_fail(ln.line_no(), "bad quarantine kind");
     return r;
@@ -481,7 +494,7 @@ JournalEntry parse_record(Body& body) {
   if (kw == "zombie") return ZombieRecord{parse_zombie_fields(ln)};
   if (kw == "duct_event") {
     DuctEventRecord r;
-    r.duct = static_cast<graph::EdgeId>(ln.num("duct"));
+    r.duct = ln.index("duct");
     const long long f = ln.num("failed flag");
     ln.end();
     if (f != 0 && f != 1) parse_fail(ln.line_no(), "bad duct_event flag");
@@ -502,7 +515,7 @@ JournalEntry parse_record(Body& body) {
     for (int i = 0; i < n_tuned; ++i) {
       Line t = body.next("tuned");
       t.expect("tuned");
-      const auto dc = static_cast<graph::NodeId>(t.num("dc"));
+      const graph::NodeId dc = t.index("dc");
       r.expected_tuned[dc] = t.num("tuned count");
       t.end();
     }
@@ -649,9 +662,20 @@ IntentJournal::Intent IntentJournal::replay() const {
     const auto it = std::find(free_pool.begin(), free_pool.end(), idx);
     if (it != free_pool.end()) free_pool.erase(it);
   };
-  const auto at_least = [](auto& vec, std::size_t n) -> decltype(auto) {
-    if (vec.size() <= n) vec.resize(n + 1);
-    return vec[n];
+  // Resource indices must fall inside the last checkpoint's pool shape: a
+  // hostile record must not grow (or, at -1, wrap and shrink) the pools.
+  const auto in_shape = [&](auto& pools, long long i,
+                            const char* what) -> decltype(auto) {
+    if (i < 0 || i >= static_cast<long long>(pools.size())) {
+      replay_fail(std::string(what) + " " + std::to_string(i) +
+                  " outside the checkpoint's pools");
+    }
+    return pools[static_cast<std::size_t>(i)];
+  };
+  const auto dc_shape = [&](graph::NodeId dc) {
+    if (!st.free_add_drop.contains(dc)) {
+      replay_fail("DC " + std::to_string(dc) + " has no add/drop pool");
+    }
   };
 
   for (const JournalEntry& entry : entries_) {
@@ -680,26 +704,23 @@ IntentJournal::Intent IntentJournal::replay() const {
               mark_done(false, r.circuit, "establish_done");
             },
             [&](const QuarantineRecord& r) {
+              if (r.b < 0) replay_fail("negative quarantined index");
               switch (r.kind) {
                 case 0:
-                  quarantine_into(
-                      at_least(st.quarantined_fibers,
-                               static_cast<std::size_t>(r.a)),
-                      at_least(st.free_fibers, static_cast<std::size_t>(r.a)),
-                      r.b);
+                  quarantine_into(in_shape(st.quarantined_fibers, r.a, "duct"),
+                                  in_shape(st.free_fibers, r.a, "duct"), r.b);
                   break;
                 case 1:
+                  dc_shape(r.a);
                   quarantine_into(st.quarantined_add_drop[r.a],
                                   st.free_add_drop[r.a], r.b);
                   break;
                 case 2:
-                  quarantine_into(
-                      at_least(st.quarantined_amps,
-                               static_cast<std::size_t>(r.a)),
-                      at_least(st.free_amps, static_cast<std::size_t>(r.a)),
-                      r.b);
+                  quarantine_into(in_shape(st.quarantined_amps, r.a, "site"),
+                                  in_shape(st.free_amps, r.a, "site"), r.b);
                   break;
                 default:
+                  if (r.a < 0) replay_fail("negative transceiver DC");
                   st.quarantined_txs[r.a].insert(r.b);
               }
             },
@@ -782,23 +803,24 @@ IntentJournal::Intent IntentJournal::replay() const {
                 for (std::size_t h = 0;
                      h < a.fibers_per_hop.size() && h < c.route.edges.size();
                      ++h) {
-                  const auto e =
-                      static_cast<std::size_t>(c.route.edges[h]);
-                  auto& free_pool = at_least(st.free_fibers, e);
-                  auto& quar = at_least(st.quarantined_fibers, e);
+                  const graph::EdgeId e = c.route.edges[h];
+                  auto& free_pool = in_shape(st.free_fibers, e, "duct");
+                  auto& quar = in_shape(st.quarantined_fibers, e, "duct");
                   for (int idx : a.fibers_per_hop[h]) {
                     give_back ? give(free_pool, quar, idx)
                               : take(free_pool, idx);
                   }
                 }
                 if (a.amp_site) {
-                  const auto s = static_cast<std::size_t>(*a.amp_site);
-                  auto& free_pool = at_least(st.free_amps, s);
-                  auto& quar = at_least(st.quarantined_amps, s);
+                  const graph::NodeId s = *a.amp_site;
+                  auto& free_pool = in_shape(st.free_amps, s, "site");
+                  auto& quar = in_shape(st.quarantined_amps, s, "site");
                   for (int u : a.amp_units) {
                     give_back ? give(free_pool, quar, u) : take(free_pool, u);
                   }
                 }
+                dc_shape(c.pair.a);
+                dc_shape(c.pair.b);
                 for (int p : a.add_drop_a) {
                   give_back ? give(st.free_add_drop[c.pair.a],
                                    st.quarantined_add_drop[c.pair.a], p)

@@ -1,5 +1,6 @@
 #include "core/slo.hpp"
 
+#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -68,20 +69,22 @@ void validate_slo_params(const PlannerParams& params) {
   }
 }
 
-}  // namespace
-
-SloProvisionReport provision_to_availability_slo(
+/// The tolerance search both overloads share: raise the failure tolerance
+/// from params.failure_tolerance until the plan's Monte Carlo availability
+/// under `criterion_for(plan)` meets the SLO. The report holds the last plan
+/// tried (the accepted one when met).
+SloProvisionReport search_tolerance(
     const fibermap::FiberMap& map, const PlannerParams& params,
-    const reliability::CorrelatedFailureModel& model) {
-  validate_slo_params(params);
-
+    const reliability::CorrelatedFailureModel& model,
+    const std::function<reliability::PairUpFn(const ProvisionedNetwork&)>&
+        criterion_for) {
   SloProvisionReport report;
   for (int k = params.failure_tolerance; k <= params.slo_max_tolerance; ++k) {
     PlannerParams candidate = params;
     candidate.failure_tolerance = k;
     report.network = provision(map, candidate);
     report.availability = reliability::simulate_availability_correlated(
-        map, model, planned_path_criterion(map, report.network));
+        map, model, criterion_for(report.network));
     report.tolerance = k;
     ++report.search_steps;
     if (report.availability.summary.worst_availability >=
@@ -90,11 +93,27 @@ SloProvisionReport provision_to_availability_slo(
       break;
     }
   }
+  return report;
+}
+
+SloProvisionReport finish_report(SloProvisionReport report) {
   report.oversubscription = report.network.params.oversubscription;
   report.cost_fibers = report.network.total_base_fibers();
   obs::registry().add("planner.slo.search_steps", report.search_steps);
   if (report.met) obs::registry().add("planner.slo.met");
   return report;
+}
+
+}  // namespace
+
+SloProvisionReport provision_to_availability_slo(
+    const fibermap::FiberMap& map, const PlannerParams& params,
+    const reliability::CorrelatedFailureModel& model) {
+  validate_slo_params(params);
+  return finish_report(
+      search_tolerance(map, params, model, [&](const ProvisionedNetwork& net) {
+        return planned_path_criterion(map, net);
+      }));
 }
 
 SloProvisionReport provision_to_availability_slo(
@@ -110,23 +129,10 @@ SloProvisionReport provision_to_availability_slo(
     throw std::invalid_argument(
         "provision_to_availability_slo: bisect_iters must be >= 0");
   }
-
-  SloProvisionReport report;
-  for (int k = params.failure_tolerance; k <= params.slo_max_tolerance; ++k) {
-    PlannerParams candidate = params;
-    candidate.failure_tolerance = k;
-    report.network = provision(map, candidate);
-    report.availability = reliability::simulate_availability_correlated(
-        map, model,
-        planned_capacity_criterion(map, report.network, cost.demand_waves));
-    report.tolerance = k;
-    ++report.search_steps;
-    if (report.availability.summary.worst_availability >=
-        params.availability_slo) {
-      report.met = true;
-      break;
-    }
-  }
+  SloProvisionReport report =
+      search_tolerance(map, params, model, [&](const ProvisionedNetwork& net) {
+        return planned_capacity_criterion(map, net, cost.demand_waves);
+      });
 
   // Cost pass: inside the accepted tolerance, find the largest (cheapest)
   // oversubscription still meeting the SLO. The accepted plan itself is the
@@ -162,12 +168,7 @@ SloProvisionReport provision_to_availability_slo(
     }
     obs::registry().add("planner.slo.bisect_steps", report.bisect_steps);
   }
-
-  report.oversubscription = report.network.params.oversubscription;
-  report.cost_fibers = report.network.total_base_fibers();
-  obs::registry().add("planner.slo.search_steps", report.search_steps);
-  if (report.met) obs::registry().add("planner.slo.met");
-  return report;
+  return finish_report(std::move(report));
 }
 
 }  // namespace iris::core

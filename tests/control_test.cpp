@@ -119,7 +119,8 @@ TEST_F(ToyController, UnchangedCircuitsAreNotTouched) {
   const auto report = controller_.apply_traffic_matrix(demand(100, 60));
   EXPECT_TRUE(report.set_up.empty());
   EXPECT_TRUE(report.torn_down.empty());
-  EXPECT_DOUBLE_EQ(report.total_ms, 0.0);
+  EXPECT_DOUBLE_EQ(report.drain_ms, 0.0);
+  EXPECT_DOUBLE_EQ(report.capacity_gap_ms(), 0.0);
 }
 
 TEST_F(ToyController, WavelengthOnlyChangeAvoidsSwitching) {
@@ -398,7 +399,8 @@ TEST_F(ToyController, MakeBeforeBreakWithNoChangesIsNoop) {
       demand(100, 0), ReconfigStrategy::kMakeBeforeBreak);
   EXPECT_TRUE(report.set_up.empty());
   EXPECT_FALSE(report.hitless);  // nothing was made or broken
-  EXPECT_DOUBLE_EQ(report.total_ms, 0.0);
+  EXPECT_DOUBLE_EQ(report.drain_ms, 0.0);
+  EXPECT_DOUBLE_EQ(report.capacity_gap_ms(), 0.0);
 }
 
 // --- Reconfiguration policy --------------------------------------------------
@@ -919,7 +921,7 @@ TEST_F(FaultyToyController, TransientFaultsAreHealedByRetries) {
   EXPECT_TRUE(report.target_reached());
   EXPECT_GT(report.command_retries, 0);
   EXPECT_GT(report.fault_delay_ms, 0.0);
-  EXPECT_GE(report.total_ms, report.fault_delay_ms);
+  EXPECT_GE(report.makespan_ms, report.fault_delay_ms);
   EXPECT_TRUE(report.verified);
   EXPECT_TRUE(controller->status().devices_consistent);
   EXPECT_EQ(controller->active_circuits().size(), 2u);

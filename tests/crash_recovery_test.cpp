@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,10 @@ namespace {
 
 using core::DcPair;
 
-core::PlannerParams recovery_params() {
+core::PlannerParams recovery_params(int lambda) {
   core::PlannerParams params;
   params.failure_tolerance = 1;
-  params.channels.wavelengths_per_fiber = 40;
+  params.channels.wavelengths_per_fiber = lambda;
   return params;
 }
 
@@ -32,29 +33,41 @@ struct Fixture {
   fibermap::FiberMap map;
   core::ProvisionedNetwork net;
   core::AmpCutPlan plan;
+  int lambda = 40;  ///< wavelengths per fiber
 };
 
+Fixture make_fixture(int dc_count, int hut_count, int lambda) {
+  fibermap::RegionParams region;
+  region.seed = 7;
+  region.dc_count = dc_count;
+  region.hut_count = hut_count;
+  region.capacity_fibers = 8;
+  auto map = fibermap::generate_region(region);
+  auto net = core::provision(map, recovery_params(lambda));
+  auto plan = core::place_amplifiers_and_cutthroughs(map, net);
+  return Fixture{std::move(map), std::move(net), std::move(plan), lambda};
+}
+
 const Fixture& fixture() {
-  static const Fixture f = [] {
-    fibermap::RegionParams region;
-    region.seed = 7;
-    region.dc_count = 4;
-    region.hut_count = 8;
-    region.capacity_fibers = 8;
-    auto map = fibermap::generate_region(region);
-    auto net = core::provision(map, recovery_params());
-    auto plan = core::place_amplifiers_and_cutthroughs(map, net);
-    return Fixture{std::move(map), std::move(net), std::move(plan)};
-  }();
+  static const Fixture f = make_fixture(4, 8, 40);
   return f;
 }
 
-TrafficMatrix demand(const fibermap::FiberMap& map, int scale) {
+/// A region small enough that crashing at every command boundary of the
+/// whole schedule stays cheap: few sites, and 4-wavelength fibers keep the
+/// per-wavelength transceiver tunes from dominating the command count.
+const Fixture& small_fixture() {
+  static const Fixture f = make_fixture(3, 3, 4);
+  return f;
+}
+
+TrafficMatrix demand(const fibermap::FiberMap& map, int scale,
+                     long long lambda = 40) {
   TrafficMatrix tm;
   const auto& dcs = map.dcs();
   for (std::size_t i = 0; i + 1 < dcs.size(); ++i) {
     tm[DcPair(dcs[i], dcs[i + 1])] =
-        40 + 20 * static_cast<long long>(i) + 40LL * scale;
+        lambda + lambda / 2 * static_cast<long long>(i) + lambda * scale;
   }
   return tm;
 }
@@ -69,11 +82,13 @@ struct Step {
   graph::EdgeId duct = graph::kInvalidEdge;
 };
 
-std::vector<Step> make_schedule(const fibermap::FiberMap& map) {
-  const auto victim = static_cast<graph::EdgeId>(map.graph().edge_count() / 2);
+std::vector<Step> make_schedule(const Fixture& f) {
+  const auto victim =
+      static_cast<graph::EdgeId>(f.map.graph().edge_count() / 2);
   std::vector<Step> steps;
   const auto apply = [&](int scale, ReconfigStrategy s) {
-    steps.push_back({Step::Kind::kApply, demand(map, scale), s, -1});
+    steps.push_back(
+        {Step::Kind::kApply, demand(f.map, scale, f.lambda), s, -1});
   };
   apply(0, ReconfigStrategy::kBreakBeforeMake);
   apply(1, ReconfigStrategy::kMakeBeforeBreak);
@@ -90,6 +105,10 @@ struct RunResult {
   int crashes = 0;
   int recoveries_with_in_flight = 0;
   int rejected = 0;  ///< applies the controller refused pre-device-touch
+  long long commands = 0;  ///< device commands issued over the whole run
+  /// Journaled applies per effective strategy (after the MBB fallback).
+  int break_before_make = 0;
+  int make_before_break = 0;
 };
 
 bool contains_circuit(const std::vector<Circuit>& circuits, const Circuit& c) {
@@ -97,14 +116,15 @@ bool contains_circuit(const std::vector<Circuit>& circuits, const Circuit& c) {
 }
 
 /// No-crash reference: same schedule, journaled, fault-free devices.
-RunResult run_reference() {
-  const Fixture& f = fixture();
+RunResult run_reference(const Fixture& f = fixture(),
+                        CommandPlaneMode plane = CommandPlaneMode::kSerial) {
   DeviceLayer devices(f.map, f.net, f.plan);
   IntentJournal journal;
   IrisController controller(f.map, f.net, f.plan, devices);
+  controller.set_command_plane(plane);
   controller.attach_journal(&journal);
   RunResult result;
-  for (const Step& step : make_schedule(f.map)) {
+  for (const Step& step : make_schedule(f)) {
     switch (step.kind) {
       case Step::Kind::kApply:
         try {
@@ -123,22 +143,34 @@ RunResult run_reference() {
     EXPECT_TRUE(controller.audit_devices());
     result.fingerprints.push_back(controller.state_fingerprint());
   }
+  result.commands = devices.fault_injector().commands_seen();
+  for (const JournalEntry& e : journal.entries()) {
+    if (const auto* begin = std::get_if<BeginApplyRecord>(&e)) {
+      ++(begin->strategy ==
+                 static_cast<int>(ReconfigStrategy::kMakeBeforeBreak)
+             ? result.make_before_break
+             : result.break_before_make);
+    }
+  }
   return result;
 }
 
 /// Crashing run: the injector kills the controller every `k` device
-/// commands; each crash spawns a successor that recovers from the journal
-/// (round-tripped through its text form, as a reload from disk would) and
-/// the schedule continues. The crash-interrupted apply is rolled forward by
-/// recovery, so the step is complete once recover() returns.
-RunResult run_with_crashes(long long k) {
-  const Fixture& f = fixture();
+/// commands (or only at the k-th one when `rearm` is false); each crash
+/// spawns a successor that recovers from the journal (round-tripped through
+/// its text form, as a reload from disk would) and the schedule continues.
+/// The crash-interrupted apply is resolved by recovery, so the step is
+/// complete once recover() returns.
+RunResult run_with_crashes(long long k, const Fixture& f = fixture(),
+                           CommandPlaneMode plane = CommandPlaneMode::kSerial,
+                           bool rearm = true) {
   FaultConfig cfg;
   cfg.crash_after_commands = k;
   DeviceLayer devices(f.map, f.net, f.plan, cfg);
   IntentJournal journal;
   auto controller =
       std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+  controller->set_command_plane(plane);
   controller->attach_journal(&journal);
   RunResult result;
 
@@ -150,6 +182,7 @@ RunResult run_with_crashes(long long k) {
     const auto intent = journal.replay();  // pre-recovery committed truth
     controller =
         std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+    controller->set_command_plane(plane);
     const RecoveryReport rr = controller->recover(journal);
     EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
     // No committed circuit may be lost. A committed roll-forward carries
@@ -174,11 +207,11 @@ RunResult run_with_crashes(long long k) {
       EXPECT_EQ(controller->active_circuits(), intent.stable.active);
     }
     if (rr.had_in_flight) ++result.recoveries_with_in_flight;
-    devices.fault_injector().arm_crash(k);  // next crash, k commands out
+    if (rearm) devices.fault_injector().arm_crash(k);  // k commands out
     return rr;
   };
 
-  for (const Step& step : make_schedule(f.map)) {
+  for (const Step& step : make_schedule(f)) {
     bool done = false;
     while (!done) {
       try {
@@ -236,6 +269,36 @@ TEST(CrashRecovery, KSweepConvergesToNoCrashExecution) {
     total_crashes += run.crashes;
   }
   EXPECT_GE(total_crashes, 5);
+}
+
+// Exhaustive form of the sweep on a small region: one crash at EVERY
+// command boundary p = 1..N of the schedule (BBM and MBB applies, a duct
+// failure and repair), on the given command plane. Each run must recover to
+// the no-crash fingerprints at every step.
+void sweep_every_command_boundary(CommandPlaneMode plane) {
+  const Fixture& f = small_fixture();
+  const RunResult ref = run_reference(f, plane);
+  ASSERT_FALSE(ref.fingerprints.empty());
+  ASSERT_GT(ref.break_before_make, 0);
+  ASSERT_GT(ref.make_before_break, 0);
+  ASSERT_LE(ref.commands, 1000) << "keep the exhaustive sweep small";
+  for (long long p = 1; p <= ref.commands; ++p) {
+    SCOPED_TRACE("crash at command " + std::to_string(p) + " of " +
+                 std::to_string(ref.commands));
+    const RunResult run = run_with_crashes(p, f, plane, /*rearm=*/false);
+    ASSERT_EQ(run.crashes, 1);
+    ASSERT_EQ(run.recoveries_with_in_flight, 1);
+    EXPECT_EQ(run.rejected, ref.rejected);
+    ASSERT_EQ(run.fingerprints, ref.fingerprints);
+  }
+}
+
+TEST(CrashRecovery, CrashAtEveryCommandBoundarySerial) {
+  sweep_every_command_boundary(CommandPlaneMode::kSerial);
+}
+
+TEST(CrashRecovery, CrashAtEveryCommandBoundaryAsync) {
+  sweep_every_command_boundary(CommandPlaneMode::kAsync);
 }
 
 TEST(CrashRecovery, SameCrashScheduleIsDeterministic) {
@@ -399,6 +462,78 @@ TEST(CrashRecovery, OrphanedCrossConnectIsAdoptedAsZombie) {
   EXPECT_TRUE(controller->audit_devices());
 }
 
+// Recovery's rollback branch. A crash interrupts a make-before-break apply
+// early; before the successor starts, orphan cross-connects are programmed
+// onto every add/drop pair still free at an endpoint of a target circuit no
+// establish has started on. The orphan sweep quarantines those pairs, so
+// the resumed establish cannot draw one, the target is infeasible, and
+// recovery must compensate back to the pre-apply circuit set -- which,
+// under make-before-break, never stopped carrying traffic.
+TEST(CrashRecovery, InfeasibleResumedTargetRollsBackToStableSet) {
+  const Fixture& f = fixture();
+  FaultConfig cfg;
+  cfg.crash_after_commands = 1'000'000;  // enables command counting only
+  DeviceLayer devices(f.map, f.net, f.plan, cfg);
+  IntentJournal journal;
+  auto controller =
+      std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+  controller->attach_journal(&journal);
+  controller->apply_traffic_matrix(demand(f.map, 0));
+  devices.fault_injector().arm_crash(3);  // mid-way through the first op
+  EXPECT_THROW(controller->apply_traffic_matrix(
+                   demand(f.map, 1), ReconfigStrategy::kMakeBeforeBreak),
+               ControllerCrash);
+  controller.reset();
+
+  const IntentJournal::Intent intent = journal.replay();
+  ASSERT_TRUE(intent.in_flight.has_value());
+  ASSERT_EQ(intent.in_flight->strategy,
+            static_cast<int>(ReconfigStrategy::kMakeBeforeBreak));
+  const auto started = [&](const Circuit& c) {
+    return std::any_of(
+        intent.in_flight->ops.begin(), intent.in_flight->ops.end(),
+        [&](const IntentJournal::PendingOp& op) { return op.circuit == c; });
+  };
+  const Circuit* pending = nullptr;
+  for (const Circuit& t : intent.in_flight->target) {
+    if (!started(t) && !contains_circuit(intent.stable.active, t)) {
+      pending = &t;
+      break;
+    }
+  }
+  ASSERT_NE(pending, nullptr) << "the crash left no establish unstarted";
+
+  // Add/drop pairs the in-flight establishes already drew are not free.
+  const graph::NodeId dc = pending->pair.a;
+  std::set<int> drawn;
+  for (const IntentJournal::PendingOp& op : intent.in_flight->ops) {
+    if (!op.alloc) continue;
+    if (op.circuit.pair.a == dc) {
+      drawn.insert(op.alloc->add_drop_a.begin(), op.alloc->add_drop_a.end());
+    }
+    if (op.circuit.pair.b == dc) {
+      drawn.insert(op.alloc->add_drop_b.begin(), op.alloc->add_drop_b.end());
+    }
+  }
+  const SitePortMap& pm = devices.port_map(dc);
+  int orphans = 0;
+  for (const int idx : intent.stable.free_add_drop.at(dc)) {
+    if (drawn.contains(idx)) continue;
+    ASSERT_TRUE(
+        devices.oss(dc).connect(pm.add_port(idx), pm.drop_port(idx)).ok());
+    ++orphans;
+  }
+  ASSERT_GT(orphans, 0);
+
+  controller = std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
+  const RecoveryReport rr = controller->recover(journal);
+  EXPECT_TRUE(rr.had_in_flight);
+  EXPECT_EQ(rr.orphan_connects_adopted, orphans);
+  EXPECT_EQ(rr.resumed_outcome, ApplyOutcome::kRolledBack);
+  EXPECT_EQ(controller->active_circuits(), intent.stable.active);
+  EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
+}
+
 // S1: the structured audit pinpoints the first divergence instead of
 // returning a bare false.
 TEST(CrashRecovery, AuditReportPinpointsDivergence) {
@@ -431,6 +566,41 @@ TEST(CrashRecovery, AuditReportPinpointsDivergence) {
   ASSERT_TRUE(devices.oss(dc).connect(in_port, out_port).ok());
   EXPECT_TRUE(controller.audit_devices());
   EXPECT_TRUE(controller.status().devices_consistent);
+}
+
+// planned_connects indexes every hop and fiber of a journaled allocation,
+// so recover() must reject one whose shape does not fit its circuit -- a
+// corrupt establish_begin record, or a zero-hop route -- with a typed error
+// before programming anything from it.
+TEST(CrashRecovery, CorruptJournaledAllocationShapeIsRejected) {
+  const Fixture& f = fixture();
+  DeviceLayer devices(f.map, f.net, f.plan);
+  IntentJournal good;
+  IrisController writer(f.map, f.net, f.plan, devices);
+  writer.attach_journal(&good);
+  writer.apply_traffic_matrix(demand(f.map, 0));
+  const ControllerCheckpoint cp = writer.snapshot();
+  ASSERT_FALSE(cp.active.empty());
+
+  Circuit zero_hop = cp.active[0];
+  zero_hop.route.nodes = {zero_hop.pair.a};
+  zero_hop.route.edges.clear();
+  AllocationRecord zero_hop_alloc = cp.allocations[0];
+  zero_hop_alloc.fibers_per_hop.clear();
+  AllocationRecord short_hop = cp.allocations[0];
+  short_hop.fibers_per_hop.front().pop_back();
+
+  std::vector<IntentJournal> corrupt(2);
+  for (IntentJournal& j : corrupt) {
+    j.append(CheckpointRecord{cp});
+    j.append(BeginApplyRecord{cp.applies_completed, 0, cp.active});
+  }
+  corrupt[0].append(EstablishBeginRecord{zero_hop, zero_hop_alloc});
+  corrupt[1].append(EstablishBeginRecord{cp.active[0], short_hop});
+  for (IntentJournal& j : corrupt) {
+    IrisController successor(f.map, f.net, f.plan, devices);
+    EXPECT_THROW((void)successor.recover(j), std::runtime_error);
+  }
 }
 
 // recover() is strictly a cold-start operation.

@@ -209,6 +209,50 @@ TEST(JournalText, CorruptCheckpointIsRejectedWithClearError) {
   EXPECT_THROW(validate_checkpoint(cp), std::runtime_error);
 }
 
+/// A one-hop circuit whose only route edge is `edge`, with an allocation
+/// that names it -- a hostile record when `edge` is out of range.
+Circuit circuit_on_edge(graph::EdgeId edge) {
+  Circuit c;
+  c.pair = DcPair(0, 1);
+  c.route.nodes = {0, 1};
+  c.route.edges = {edge};
+  c.fiber_pairs = 1;
+  c.wavelengths = 1;
+  return c;
+}
+
+AllocationRecord one_fiber_alloc() {
+  AllocationRecord a;
+  a.fibers_per_hop = {{0}};
+  a.add_drop_a = {0};
+  a.add_drop_b = {0};
+  return a;
+}
+
+// Negative indices can never come from a torn write (truncation only drops
+// characters), so they are rejected with a line number wherever they sit,
+// final record included -- before replay could index a pool with them.
+TEST(JournalText, NegativeIndicesAreRejectedWithLineNumbers) {
+  const std::string base = journal_from_run().to_text();
+  std::vector<IntentJournal> hostile(2);
+  hostile[0].append(QuarantineRecord{0, -1, 5});
+  hostile[1].append(ApplyEndRecord{0, 0, {circuit_on_edge(-1)}, {}});
+  for (const IntentJournal& j : hostile) {
+    const std::string record =
+        j.to_text().substr(std::string("iris-journal v1\n").size());
+    for (const std::string& text : {base + record, base + record + record}) {
+      try {
+        (void)IntentJournal::from_text(text);
+        FAIL() << "negative index accepted:\n" << record;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("journal: line"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(JournalText, CorruptCheckpointThrowsEvenAsFinalRecord) {
   // Torn-tail tolerance must NOT extend to a complete-but-inconsistent
   // checkpoint, even when it is the last record in the file.
@@ -320,6 +364,61 @@ TEST(JournalReplay, MalformedLogsThrow) {
     j.append(BeginApplyRecord{0, 0, {}});
     j.append(CheckpointRecord{});
     EXPECT_THROW((void)j.replay(), std::runtime_error);
+  }
+  // Resource indices outside the checkpoint's pool shape: negative ones
+  // used to shrink the pools and index past them, large ones to grow them.
+  ControllerCheckpoint one_duct;
+  one_duct.free_fibers = {{1, 0}};
+  one_duct.quarantined_fibers = {{}};
+  one_duct.free_amps = {{}};
+  one_duct.quarantined_amps = {{}};
+  one_duct.free_add_drop = {{0, {0}}, {1, {0}}};
+  const auto expect_replay_error = [](const IntentJournal& j) {
+    try {
+      (void)j.replay();
+      FAIL() << "out-of-shape index accepted:\n" << j.to_text();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("journal replay:"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const graph::EdgeId duct : {-1, 1, 1 << 30}) {
+    SCOPED_TRACE("duct " + std::to_string(duct));
+    IntentJournal quarantine;
+    quarantine.append(CheckpointRecord{one_duct});
+    quarantine.append(QuarantineRecord{0, duct, 5});
+    expect_replay_error(quarantine);
+
+    IntentJournal apply;
+    apply.append(CheckpointRecord{one_duct});
+    apply.append(BeginApplyRecord{0, 0, {circuit_on_edge(duct)}});
+    apply.append(
+        EstablishBeginRecord{circuit_on_edge(duct), one_fiber_alloc()});
+    apply.append(ApplyEndRecord{0, 0, {circuit_on_edge(duct)}, {}});
+    expect_replay_error(apply);
+  }
+  {
+    IntentJournal j;  // amplifier site outside the pools
+    j.append(CheckpointRecord{one_duct});
+    j.append(QuarantineRecord{2, -1, 0});
+    expect_replay_error(j);
+  }
+  {
+    IntentJournal j;  // add/drop pool at a DC the checkpoint does not know
+    j.append(CheckpointRecord{one_duct});
+    j.append(QuarantineRecord{1, 7, 0});
+    expect_replay_error(j);
+  }
+  {
+    // The in-shape control case folds cleanly.
+    IntentJournal j;
+    j.append(CheckpointRecord{one_duct});
+    j.append(BeginApplyRecord{0, 0, {circuit_on_edge(0)}});
+    j.append(EstablishBeginRecord{circuit_on_edge(0), one_fiber_alloc()});
+    j.append(ApplyEndRecord{0, 0, {circuit_on_edge(0)}, {}});
+    const auto intent = j.replay();
+    EXPECT_EQ(intent.stable.free_fibers[0], std::vector<int>{1});
   }
 }
 
