@@ -5,7 +5,10 @@
 //
 // `--replan` switches to the incremental-replan mode: a 20-DC / tolerance-2
 // single-duct cut and repair, timing the full from-scratch sweep against the
-// incremental replan, asserting bit-identical plans and a >= 10x speedup.
+// incremental replan, asserting bit-identical plans and a >= 10x speedup;
+// its "fork + first cut" row times a first cut on a fork of a shared warm
+// planner against one on a freshly built planner (the failure drill's old
+// cost) and gates that ratio at >= 1.3x.
 // `--metrics[=path]` dumps the metrics registry on exit (either mode).
 #include <benchmark/benchmark.h>
 
@@ -13,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string_view>
 
 #include "bench_util.hpp"
@@ -242,6 +246,22 @@ int run_replan_table(bool gate) {
   const double full_repair_ms =
       best_of_ms([&] { core::provision(map, oracle_params); });
 
+  // What one failure drill pays: a first cut on a planner built from
+  // nothing, against a first cut on a fork of a shared warm base.
+  const auto warm = std::make_shared<const core::IncrementalPlanner>(map, params);
+  const double build_cut_ms = best_of_ms([&] {
+    core::IncrementalPlanner fresh(map, params);
+    fresh.cut_duct(busiest);
+  });
+  core::ProvisionedNetwork fork_cut_plan;
+  const double fork_cut_ms = best_of_ms([&] {
+    core::IncrementalPlanner fork(warm);
+    fork.cut_duct(busiest);
+    fork_cut_plan = fork.current();
+  });
+  check(core::same_plan(fork_cut_plan, full_cut_plan),
+        "forked first cut diverged from the full-sweep oracle");
+
   std::printf(
       "# incremental replan (20 DCs, tolerance 2, %lld scenarios, cut duct "
       "%d, %lld pruned on replan)\n",
@@ -254,6 +274,10 @@ int run_replan_table(bool gate) {
               replan_cut_ms, full_cut_ms / replan_cut_ms);
   std::printf("%-28s %12.2f %12.2f %10.1f\n", "repair duct", full_repair_ms,
               replan_repair_ms, full_repair_ms / replan_repair_ms);
+  std::printf("%-28s %12.2f %12.2f %10.1f\n", "fork + first cut",
+              build_cut_ms, fork_cut_ms, build_cut_ms / fork_cut_ms);
+  std::printf("# fork row: 'full' is a fresh planner build + first cut, "
+              "'replan' a warm-base fork + first cut\n");
   std::printf("# cut diff: %zu capacity changes, %zu path changes\n",
               cut_diff.capacity_changes.size(), cut_diff.path_changes.size());
 
@@ -267,6 +291,8 @@ int run_replan_table(bool gate) {
           "cut replan is not >= 10x faster than the full sweep");
     check(full_repair_ms / replan_repair_ms >= 10.0,
           "repair replan is not >= 10x faster than the full sweep");
+    check(build_cut_ms / fork_cut_ms >= 1.3,
+          "fork + first cut is not >= 1.3x faster than build + first cut");
   }
   return ok ? 0 : 1;
 }

@@ -85,6 +85,31 @@ void fold_apply_metrics(const ReconfigReport& r, std::string_view outcome) {
   reg.add_gauge("controller.fault_delay_ms.total", r.fault_delay_ms);
 }
 
+/// Adds the device commands a transaction step tallied in `report` to the
+/// registry when the step ends, however it ends (crash unwinds included):
+/// one add per series instead of one per command.
+class CommandCountScope {
+ public:
+  explicit CommandCountScope(const ReconfigReport& report)
+      : report_(report),
+        commands_(report.commands),
+        attempts_(report.command_attempts) {}
+  CommandCountScope(const CommandCountScope&) = delete;
+  CommandCountScope& operator=(const CommandCountScope&) = delete;
+  ~CommandCountScope() {
+    if (report_.commands == commands_) return;  // no series for idle steps
+    auto& reg = obs::registry();
+    reg.add("controller.commands.total", report_.commands - commands_);
+    reg.add("controller.commands.attempts",
+            report_.command_attempts - attempts_);
+  }
+
+ private:
+  const ReconfigReport& report_;
+  long long commands_;
+  long long attempts_;
+};
+
 std::string_view outcome_name(ApplyOutcome o) {
   switch (o) {
     case ApplyOutcome::kCommitted:
@@ -239,9 +264,10 @@ std::vector<Circuit> IrisController::circuits_for(const TrafficMatrix& tm) const
 
 CommandResult IrisController::run_with_retry(
     ReconfigReport& report, const std::function<CommandResult()>& attempt) {
-  auto& reg = obs::registry();
-  reg.add("controller.commands.total");
-  reg.add("controller.commands.attempts");
+  // Tallied before the attempt, so a crash inside it still counts; the
+  // registry sees the tallies once per transaction (CommandCountScope).
+  ++report.commands;
+  ++report.command_attempts;
   const FaultInjector& faults = devices_->fault_injector();
   CommandResult r = attempt();
   if (r.ok() || !faults.enabled()) return r;
@@ -254,9 +280,9 @@ CommandResult IrisController::run_with_retry(
     }
     ++report.command_retries;
     report.fault_delay_ms += backoff;
-    reg.add_gauge("controller.commands.backoff_ms", backoff);
+    obs::registry().add_gauge("controller.commands.backoff_ms", backoff);
     backoff *= rp.backoff_factor;
-    reg.add("controller.commands.attempts");
+    ++report.command_attempts;
     r = attempt();
     if (r.ok()) return r;
   }
@@ -782,6 +808,7 @@ void IrisController::execute(const ApplyPlan& plan, ApplyCursor& cur,
       self->devices_->fault_injector().set_schedule_slot(-1);
     }
   } plane_scope{this};
+  const CommandCountScope counts(report);
 
   // What a crash caught mid-unwind is finished first, whatever the order.
   for (auto& [c, alloc] : cur.unwinding) {
@@ -1638,6 +1665,7 @@ RecoveryReport IrisController::recover(IntentJournal& journal) {
   // Defensive convergence: re-program any recorded cross-connect the
   // hardware lost. A no-op when hardware already matches the books, so a
   // crash-free cold recovery issues zero device commands here.
+  const CommandCountScope repair_counts(report);
   for (Allocation& a : allocations_) {
     try {
       repair_connects(a, report, rr);

@@ -80,6 +80,8 @@ struct ReconfigReport {
   ApplyOutcome outcome = ApplyOutcome::kCommitted;
   std::vector<Circuit> not_established;  ///< requested circuits that failed
   std::vector<Circuit> lost_circuits;    ///< pre-apply circuits not restored
+  long long commands = 0;        ///< device commands issued (first attempts)
+  long long command_attempts = 0;  ///< device-command attempts, retries too
   int command_retries = 0;       ///< device-command re-attempts
   int commands_timed_out = 0;    ///< attempts that hit the command deadline
   int circuit_retries = 0;       ///< establishments retried on fresh resources

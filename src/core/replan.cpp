@@ -34,36 +34,92 @@ void set_bit(std::vector<std::uint64_t>& mask, EdgeId e) {
   mask[i >> 6] |= std::uint64_t{1} << (i & 63);
 }
 
-/// One routed failure scenario, shared across sweeps. Paths live in the
-/// planner-wide interning pool; `loads` holds only ducts with nonzero
-/// worst-case hose load, ascending by duct.
+/// One routed failure scenario, shared across sweeps. Paths and hose-load
+/// values live in the planner-wide interning pools; `loads` holds only
+/// ducts with nonzero worst-case hose load, ascending by duct, as (duct,
+/// load-value id) -- half the footprint of inline 64-bit loads, and a
+/// region has only a few hundred distinct load values.
 struct ScenarioRecord {
   std::vector<std::int32_t> path_id;  // per DC pair; -1 = unreachable
-  std::vector<std::pair<EdgeId, long long>> loads;
+  std::vector<std::pair<EdgeId, std::int32_t>> loads;
   std::vector<std::uint64_t> used;  // ducts some pair path crosses
   long long unreachable = 0;
   long long beyond_sla = 0;
 };
 
+/// Append-only interning pool. A fork's pool overlays its base's frozen
+/// pool: ids below `offset` resolve there, new items get ids past it.
+template <typename Item, typename Key>
+struct InternPool {
+  const InternPool* base = nullptr;
+  std::size_t offset = 0;
+  std::vector<Item> items;
+  std::map<Key, std::int32_t> ids;
+
+  void overlay(const InternPool& frozen) {
+    base = &frozen;
+    offset = frozen.items.size();
+  }
+
+  [[nodiscard]] const Item& operator[](std::int32_t id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return i < offset ? base->items[i] : items[i - offset];
+  }
+
+  std::int32_t intern(const Key& key, const Item& item) {
+    if (base != nullptr) {
+      if (const auto it = base->ids.find(key); it != base->ids.end()) {
+        return it->second;
+      }
+    }
+    const auto [it, fresh] =
+        ids.emplace(key, static_cast<std::int32_t>(offset + items.size()));
+    if (fresh) items.push_back(item);
+    return it->second;
+  }
+};
+
 }  // namespace
 
 struct IncrementalPlanner::Cache {
+  // The warm base this cache overlays (null on a root planner). Lookups
+  // fall through to it; inserts land here, so it is never mutated.
+  std::shared_ptr<const Cache> base;
+
   std::vector<std::pair<std::size_t, std::size_t>> pairs;  // dc indices, i < j
-  std::vector<graph::Path> paths;                      // interning pool
-  std::map<std::vector<EdgeId>, std::int32_t> path_ids;  // keyed by edge seq
+  InternPool<graph::Path, std::vector<EdgeId>> paths;  // keyed by edge seq
+  InternPool<long long, long long> load_values;
   // Scenario records keyed by effective failed-duct set (enumerated failures
   // merged with live cuts), ascending. TC1-excluded ducts never appear: they
   // are failed in every base mask, so cutting one changes nothing.
   std::map<std::vector<EdgeId>, std::shared_ptr<const ScenarioRecord>> records;
-  // Per duct: worst-case hose load memoized on the flattened oriented pair
-  // list [l0, r0, l1, r1, ...]. The sweep re-derives the same few lists per
-  // duct across hundreds of scenarios (96% hit rate on the 20-DC bench).
-  std::vector<std::map<std::vector<NodeId>, long long>> hose_memo;
+  // Per duct: worst-case hose load (value id) memoized on the flattened
+  // oriented pair list [l0, r0, l1, r1, ...]. The sweep re-derives the same
+  // few lists per duct across hundreds of scenarios (96% hit rate on the
+  // 20-DC bench).
+  std::vector<std::map<std::vector<NodeId>, std::int32_t>> hose_memo;
 
-  // Scratch reused across scenarios: per-duct flattened pair lists and the
-  // ducts whose list is nonempty this scenario.
+  // Scratch reused across scenarios: per-duct flattened pair lists, the
+  // ducts whose list is nonempty this scenario, and the loads being folded
+  // (records then take an exact-size copy: no growth slack in the cache).
   std::vector<std::vector<NodeId>> bucket;
   std::vector<EdgeId> touched;
+  std::vector<std::pair<EdgeId, std::int32_t>> loads;
+
+  [[nodiscard]] const std::shared_ptr<const ScenarioRecord>* find_record(
+      const std::vector<EdgeId>& key) const {
+    if (const auto it = records.find(key); it != records.end()) {
+      return &it->second;
+    }
+    return base != nullptr ? base->find_record(key) : nullptr;
+  }
+
+  [[nodiscard]] const std::int32_t* find_load(
+      EdgeId e, const std::vector<NodeId>& key) const {
+    const auto& memo = hose_memo[static_cast<std::size_t>(e)];
+    if (const auto it = memo.find(key); it != memo.end()) return &it->second;
+    return base != nullptr ? base->find_load(e, key) : nullptr;
+  }
 };
 
 IncrementalPlanner::IncrementalPlanner(const fibermap::FiberMap& map,
@@ -80,6 +136,29 @@ IncrementalPlanner::IncrementalPlanner(const fibermap::FiberMap& map,
   params_.cut_ducts.clear();
   current_ = sweep_plan();
   maybe_check_oracle("IncrementalPlanner initial plan vs provision() oracle");
+}
+
+IncrementalPlanner::IncrementalPlanner(
+    std::shared_ptr<const IncrementalPlanner> base)
+    : map_(base != nullptr ? base->map_
+                           : throw std::invalid_argument(
+                                 "IncrementalPlanner: null fork base")),
+      params_(base->params_),
+      cuts_(base->cuts_),
+      current_(base->current_),
+      stats_(base->stats_),
+      cache_(std::make_unique<Cache>()) {
+  const Cache& warm = *base->cache_;
+  if (warm.base != nullptr) {
+    throw std::invalid_argument("IncrementalPlanner: cannot fork a fork");
+  }
+  // The aliasing pointer keeps the whole base planner alive.
+  cache_->base = std::shared_ptr<const Cache>(std::move(base), &warm);
+  cache_->paths.overlay(warm.paths);
+  cache_->load_values.overlay(warm.load_values);
+  cache_->pairs = warm.pairs;
+  cache_->hose_memo.resize(warm.hose_memo.size());
+  cache_->bucket.resize(warm.bucket.size());
 }
 
 IncrementalPlanner::IncrementalPlanner(IncrementalPlanner&&) noexcept = default;
@@ -153,16 +232,10 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     return *router;
   };
 
-  const auto intern = [&](const graph::Path& path) -> std::int32_t {
-    const auto [it, fresh] = c.path_ids.emplace(
-        path.edges, static_cast<std::int32_t>(c.paths.size()));
-    if (fresh) c.paths.push_back(path);
-    return it->second;
-  };
-
-  const auto hose_load = [&](EdgeId e, std::vector<NodeId>&& key) -> long long {
-    auto& memo = c.hose_memo[static_cast<std::size_t>(e)];
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+  // Returns the load's value id.
+  const auto hose_load = [&](EdgeId e,
+                             std::vector<NodeId>&& key) -> std::int32_t {
+    if (const std::int32_t* hit = c.find_load(e, key)) return *hit;
     std::vector<graph::OrientedPair> pairs;
     pairs.reserve(key.size() / 2);
     for (std::size_t k = 0; k + 1 < key.size(); k += 2) {
@@ -170,8 +243,9 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     }
     const auto load =
         static_cast<long long>(graph::hose_edge_load(pairs, capacity_of));
-    memo.emplace(std::move(key), load);
-    return load;
+    const std::int32_t id = c.load_values.intern(load, load);
+    c.hose_memo[static_cast<std::size_t>(e)].emplace(std::move(key), id);
+    return id;
   };
 
   // Rebuilds rec.used from its pair paths and recomputes hose loads for the
@@ -180,12 +254,12 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
   // the oriented lists match the full sweep's bucket order exactly.
   const auto finish_record =
       [&](ScenarioRecord& rec, const std::vector<std::uint64_t>* want,
-          const std::vector<std::pair<EdgeId, long long>>* parent_loads) {
+          const std::vector<std::pair<EdgeId, std::int32_t>>* parent_loads) {
         std::fill(rec.used.begin(), rec.used.end(), 0);
         for (std::size_t pidx = 0; pidx < c.pairs.size(); ++pidx) {
           const std::int32_t id = rec.path_id[pidx];
           if (id < 0) continue;
-          const graph::Path& path = c.paths[static_cast<std::size_t>(id)];
+          const graph::Path& path = c.paths[id];
           const NodeId a = dcs[c.pairs[pidx].first];
           const NodeId b = dcs[c.pairs[pidx].second];
           for (EdgeId e : path.edges) {
@@ -200,28 +274,29 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
         }
         std::sort(c.touched.begin(), c.touched.end());
         std::size_t t = 0;
-        std::vector<std::pair<EdgeId, long long>> loads;
+        auto& loads = c.loads;
+        loads.clear();
         const auto fold_touched_below = [&](EdgeId bound) {
           for (; t < c.touched.size() && c.touched[t] < bound; ++t) {
             const EdgeId e = c.touched[t];
             auto& bucket = c.bucket[static_cast<std::size_t>(e)];
-            const long long load = hose_load(e, std::move(bucket));
+            const std::int32_t load_id = hose_load(e, std::move(bucket));
             bucket.clear();
-            if (load > 0) loads.emplace_back(e, load);
+            if (c.load_values[load_id] > 0) loads.emplace_back(e, load_id);
           }
         };
         if (parent_loads != nullptr) {
-          for (const auto& [e, load] : *parent_loads) {
+          for (const auto& [e, load_id] : *parent_loads) {
             // Selected ducts are recomputed (or dropped, if no pair routes
             // over them any more) from the touched list instead.
             if (bit(*want, e)) continue;
             fold_touched_below(e);
-            loads.emplace_back(e, load);
+            loads.emplace_back(e, load_id);
           }
         }
         fold_touched_below(g.edge_count());
         c.touched.clear();
-        rec.loads = std::move(loads);
+        rec.loads.assign(loads.begin(), loads.end());
       };
 
   const auto full_record = [&](std::span<const EdgeId> failed) {
@@ -237,7 +312,7 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
         continue;
       }
       if (path->length_km > max_path_km) ++rec->beyond_sla;
-      rec->path_id[pidx] = intern(*path);
+      rec->path_id[pidx] = c.paths.intern(path->edges, *path);
     }
     finish_record(*rec, nullptr, nullptr);
     return std::shared_ptr<const ScenarioRecord>(std::move(rec));
@@ -262,10 +337,10 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
       if (id < 0) continue;  // fewer ducts never revive a pair
       // Invalidation lemma: a pair whose canonical path avoids every newly
       // cut duct keeps that exact path; only pairs routed over a cut change.
-      // (Mind the interning pool: intern() may reallocate c.paths, so the
-      // old path must not be referenced after the new one is interned.)
-      if (!uses_any(c.paths[static_cast<std::size_t>(id)], cuts)) continue;
-      const graph::Path& old_path = c.paths[static_cast<std::size_t>(id)];
+      // (Mind the interning pool: c.paths.intern() may reallocate it, so
+      // the old path must not be referenced after the new one is interned.)
+      if (!uses_any(c.paths[id], cuts)) continue;
+      const graph::Path& old_path = c.paths[id];
       if (old_path.length_km > max_path_km) --rec->beyond_sla;
       for (EdgeId e : old_path.edges) set_bit(affected, e);
       if (r == nullptr) r = &synced_router(failed);
@@ -277,7 +352,7 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
         continue;
       }
       if (path->length_km > max_path_km) ++rec->beyond_sla;
-      rec->path_id[pidx] = intern(*path);
+      rec->path_id[pidx] = c.paths.intern(path->edges, *path);
       for (EdgeId e : path->edges) set_bit(affected, e);
     }
     finish_record(*rec, &affected, &parent.loads);
@@ -312,8 +387,8 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     std::merge(sorted_failed.begin(), sorted_failed.end(), key_cuts.begin(),
                key_cuts.end(), std::back_inserter(key));
     std::shared_ptr<const ScenarioRecord> rec;
-    if (const auto it = c.records.find(key); it != c.records.end()) {
-      rec = it->second;
+    if (const auto* hit = c.find_record(key)) {
+      rec = *hit;
       ++cache_hits;
     } else {
       if (depth == 0) {
@@ -342,9 +417,9 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     stack[d] = rec;
     unreachable += rec->unreachable;
     beyond_sla += rec->beyond_sla;
-    for (const auto& [e, load] : rec->loads) {
+    for (const auto& [e, load_id] : rec->loads) {
       auto& max = maxima[static_cast<std::size_t>(e)];
-      max = std::max(max, load);
+      max = std::max(max, c.load_values[load_id]);
     }
   });
 
@@ -391,7 +466,7 @@ ProvisionedNetwork IncrementalPlanner::sweep_plan() {
     if (id < 0) continue;
     out.baseline_paths.emplace(
         DcPair(dcs[c.pairs[pidx].first], dcs[c.pairs[pidx].second]),
-        c.paths[static_cast<std::size_t>(id)]);
+        c.paths[id]);
   }
 
   auto& reg = obs::registry();

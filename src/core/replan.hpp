@@ -18,9 +18,23 @@
 // sweep) and divergence throws.
 //
 // The cache grows with the set of distinct scenarios ever planned -- about
-// 1.5 KB per scenario on a 20-DC region. A long-lived planner cycling
+// 2 KB per scenario on a 20-DC region. A long-lived planner cycling
 // through many distinct cut ducts accumulates one scenario family per duct;
 // destroy and rebuild the planner to shed the cache.
+//
+// Forks. A planner held through std::shared_ptr<const IncrementalPlanner> is
+// a warm base: its plan and cache are frozen, and any number of forks --
+// concurrently, on any threads -- start from it instead of re-running the
+// initial sweep. A fork is a copy-on-write overlay, not a copy: its cache
+// looks up scenario records, interned paths and load values, and hose-load
+// memo entries in its own delta first and then in the base's; everything it
+// plans lands in the delta (new pool ids continue past the base's). The
+// base must not replan while forks of it live, so it never grows: its
+// footprint is one warm cache however many forks ran, and a fork holds only
+// what its own replans added, shed when the fork dies. Forks answer exactly what a fresh planner built on the base's
+// map, parameters and cut set would answer -- the cache is a pure memo keyed
+// by failed-duct set -- and IRIS_PLANNER_ORACLE cross-checks their replans
+// like any other. A fork cannot itself serve as a base.
 #pragma once
 
 #include <memory>
@@ -44,6 +58,10 @@ class IncrementalPlanner {
   /// set. The map is referenced, not copied, and must outlive the planner.
   IncrementalPlanner(const fibermap::FiberMap& map,
                      const PlannerParams& params);
+  /// Forks `base` (see the header comment): the fork starts at the base's
+  /// plan and cut set and replans over the base's cache without touching
+  /// it. Throws std::invalid_argument if `base` is null or itself a fork.
+  explicit IncrementalPlanner(std::shared_ptr<const IncrementalPlanner> base);
   IncrementalPlanner(IncrementalPlanner&&) noexcept;
   ~IncrementalPlanner();
 

@@ -63,7 +63,10 @@ core::PlannerParams scratch_params(const RegionSnapshot& snap) {
 
 void run_failure_drill(const RegionSnapshot& snap, const WhatIfQuery& q,
                        WhatIfResult& r) {
-  core::IncrementalPlanner planner(*snap.map, scratch_params(snap));
+  core::IncrementalPlanner planner =
+      snap.warm_planner != nullptr
+          ? core::IncrementalPlanner(snap.warm_planner->base(snap))
+          : core::IncrementalPlanner(*snap.map, scratch_params(snap));
   const core::PlanDiff diff = planner.cut_duct(q.duct);
   r.feasible = true;
   r.capacity_changes = static_cast<int>(diff.capacity_changes.size());
@@ -123,6 +126,17 @@ void run_slo_probe(const RegionSnapshot& snap, const WhatIfQuery& q,
 }
 
 }  // namespace
+
+std::shared_ptr<const core::IncrementalPlanner> WarmPlannerCell::base(
+    const RegionSnapshot& snap) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (base_ == nullptr) {
+    ++builds_;
+    base_ = std::make_shared<const core::IncrementalPlanner>(
+        *snap.map, scratch_params(snap));
+  }
+  return base_;
+}
 
 WhatIfResult run_query(const RegionSnapshot& snap, const WhatIfQuery& query) {
   WhatIfResult r;

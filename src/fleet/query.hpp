@@ -3,14 +3,16 @@
 // A query is a pure function of (snapshot, query): it reads only the
 // immutable state reachable from the RegionSnapshot and scratch state it
 // builds itself, so any number of queries run concurrently against the same
-// snapshot -- or different snapshots -- with zero synchronization and
-// deterministic results. Planner work inside a query always runs with
-// threads = 1: the thread pool above (WhatIfEngine) is the parallelism.
+// snapshot -- or different snapshots -- with deterministic results. The one
+// synchronization point is the first drill on a plan, which builds the
+// plan's warm planner while racing drills wait. Planner work inside a query
+// always runs with threads = 1: the thread pool above (WhatIfEngine) is the
+// parallelism.
 //
 // Taxonomy (the fleet's service surface, ROADMAP "what-if query engine"):
-//  * kFailureDrill -- cut a duct on a scratch IncrementalPlanner seeded from
-//    the snapshot's plan; report the reroute diff, disconnected pairs and
-//    fiber-cost delta.
+//  * kFailureDrill -- fork the plan's warm IncrementalPlanner (built once
+//    per plan, see WarmPlannerCell), cut the duct on the fork; report the
+//    reroute diff, disconnected pairs and fiber-cost delta.
 //  * kGrowth -- site a new DC (core/expansion): siting-SLA reach check plus
 //    the full expansion replan and its fiber delta.
 //  * kSloProbe -- availability-SLO provisioning (core/slo) with cost

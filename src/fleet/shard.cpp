@@ -77,6 +77,7 @@ void RegionShard::build() {
       core::provision(*map_, cfg_.planner));
   amp_cut_ = std::make_shared<const core::AmpCutPlan>(
       core::place_amplifiers_and_cutthroughs(*map_, *network_));
+  warm_planner_ = std::make_shared<const WarmPlannerCell>();
   devices_ = std::make_unique<control::DeviceLayer>(*map_, *network_,
                                                     *amp_cut_, cfg_.faults);
   controller_ = std::make_unique<control::IrisController>(
@@ -142,6 +143,7 @@ void RegionShard::publish(long long tick, double t_s) {
   snap->network = network_;
   snap->amp_cut = amp_cut_;
   snap->books = std::move(books);
+  snap->warm_planner = warm_planner_;
   store_.publish(std::move(snap));
   reg.add("fleet.snapshots.published");
   if (supervised()) {

@@ -150,6 +150,8 @@ class RegionShard {
   std::shared_ptr<const fibermap::FiberMap> map_;
   std::shared_ptr<const core::ProvisionedNetwork> network_;
   std::shared_ptr<const core::AmpCutPlan> amp_cut_;
+  /// Built by the first drill against any of this plan's snapshots.
+  std::shared_ptr<const WarmPlannerCell> warm_planner_;
   std::unique_ptr<control::DeviceLayer> devices_;
   std::unique_ptr<control::IrisController> controller_;
   std::unique_ptr<control::ReconfigPolicy> policy_;

@@ -24,14 +24,48 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 
 #include "control/journal.hpp"
 #include "core/amp_cut.hpp"
 #include "core/provision.hpp"
+#include "core/replan.hpp"
 #include "fibermap/fibermap.hpp"
 #include "obs/metrics.hpp"
 
 namespace iris::fleet {
+
+struct RegionSnapshot;
+
+/// The warm failure-drill planner of one region plan (map + provisioned
+/// network): an IncrementalPlanner base every drill forks instead of
+/// re-running the initial k-failure sweep (core/replan.hpp). The shard makes
+/// one cell per plan and every snapshot it publishes shares it. Nothing is
+/// built until the first drill asks; from then on the base lives as long as
+/// the last snapshot or fork holding it -- one warm cache, about 0.65 MB
+/// on an 8-DC / 16-hut k=2 region, however many drills ran.
+class WarmPlannerCell {
+ public:
+  /// The warm base for the plan `snap` pins, built on the first call with
+  /// the drill's serial planner parameters. Safe from any thread: first
+  /// callers racing each other wait for one build. A build that throws
+  /// leaves the cell unbuilt, so the next call tries again.
+  [[nodiscard]] std::shared_ptr<const core::IncrementalPlanner> base(
+      const RegionSnapshot& snap) const;
+
+  /// Builds started so far: 1 once any drill ran, more only after a throw.
+  [[nodiscard]] long long builds() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return builds_;
+  }
+
+ private:
+  // A drill holds mu_ for one shared_ptr copy -- or, on the first drill,
+  // for the build, which is what makes racing first drills wait for it.
+  mutable std::mutex mu_;
+  mutable long long builds_ = 0;
+  mutable std::shared_ptr<const core::IncrementalPlanner> base_;
+};
 
 /// One immutable picture of a region at a loop tick. Everything reachable
 /// from here is const: what-if queries share snapshots freely across
@@ -49,6 +83,9 @@ struct RegionSnapshot {
   /// loop publishes only after every mutation of the tick has committed, so
   /// this never exposes a half-applied transaction.
   std::shared_ptr<const control::ControllerCheckpoint> books;
+  /// The plan's shared warm drill planner (see WarmPlannerCell); null on
+  /// snapshots assembled outside a shard, whose drills plan from scratch.
+  std::shared_ptr<const WarmPlannerCell> warm_planner;
 };
 
 /// Single-writer/many-reader publication point for one region's snapshots.

@@ -220,6 +220,41 @@ TEST(FleetQuery, FailureDrillReportsRerouteDiff) {
   EXPECT_EQ(snap->network->total_base_fibers(), before);
 }
 
+// Warm drills: four workers drilling every duct of one pinned snapshot at
+// once all fork the plan's one warm planner, built by whichever drill came
+// first, and each answer matches a drill planned from scratch.
+TEST(FleetQuery, WarmDrillsMatchColdPlannerAcrossWorkers) {
+  const auto params = small_fleet(1, 8);
+  fleet::Fleet fleet(params);
+  fleet.start();
+  fleet.join();
+  const auto snap = fleet.snapshot(0);
+  ASSERT_NE(snap, nullptr);
+  ASSERT_NE(snap->warm_planner, nullptr);
+  EXPECT_EQ(snap->warm_planner->builds(), 0);  // nothing built until a drill
+
+  std::vector<fleet::WhatIfEngine::Job> jobs;
+  for (graph::EdgeId d = 0; d < snap->map->graph().edge_count(); ++d) {
+    fleet::WhatIfEngine::Job job;
+    job.snapshot = snap;
+    job.query.kind = fleet::QueryKind::kFailureDrill;
+    job.query.duct = d;
+    jobs.push_back(job);
+  }
+  fleet::WhatIfEngine engine(4);
+  const auto results = engine.run_batch(jobs);
+  EXPECT_EQ(snap->warm_planner->builds(), 1);
+
+  fleet::RegionSnapshot cold = *snap;
+  cold.warm_planner = nullptr;  // drills on it build their own planner
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(results[i].canonical(),
+              fleet::run_query(cold, jobs[i].query).canonical())
+        << "duct " << i;
+  }
+}
+
 // Growth-study smoke: siting a DC at the centroid of the existing DCs is
 // within the siting SLA and reports the expansion's fiber bill.
 TEST(FleetQuery, GrowthStudySitesNewDc) {

@@ -1,6 +1,7 @@
 // Incremental planner: warm-started routing, dominance pruning, plan diffs
 // and cached replans, all held bit-identical to the from-scratch sweep.
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -237,6 +238,63 @@ TEST(Replan, OracleModeCrossChecksEveryReplan) {
   EXPECT_NO_THROW((void)planner.cut_duct(duct));
   EXPECT_NO_THROW((void)planner.repair_duct(duct));
   EXPECT_TRUE(core::same_plan(planner.current(), initial));
+}
+
+TEST(Replan, ForkMatchesFreshPlannerOnEveryDuct) {
+  fibermap::RegionParams rp;
+  rp.extent_km = 30.0;
+  rp.dc_count = 8;
+  rp.hut_count = 6;
+  rp.capacity_fibers = 4;
+  rp.seed = 3;
+  const auto map = fibermap::generate_region(rp);
+  const auto params = small_params(2);
+  const auto base =
+      std::make_shared<const core::IncrementalPlanner>(map, params);
+  const core::ProvisionedNetwork warm = base->current();
+
+  std::vector<core::ReplanStats> first_cut;
+  for (EdgeId d = 0; d < map.graph().edge_count(); ++d) {
+    core::IncrementalPlanner fork(base);
+    EXPECT_TRUE(core::same_plan(fork.current(), warm));
+    const core::PlanDiff forked = fork.cut_duct(d);
+    core::IncrementalPlanner fresh(map, params);
+    const core::PlanDiff cold = fresh.cut_duct(d);
+    EXPECT_TRUE(core::same_plan(fork.current(), fresh.current()))
+        << "duct " << d;
+    EXPECT_EQ(forked.capacity_changes.size(), cold.capacity_changes.size());
+    EXPECT_EQ(forked.path_changes.size(), cold.path_changes.size());
+    EXPECT_EQ(fork.last_stats().pruned, fresh.last_stats().pruned);
+    first_cut.push_back(fork.last_stats());
+
+    // Repairing the fork's cut lands back on the base plan.
+    const core::PlanDiff repair = fork.repair_duct(d);
+    EXPECT_TRUE(core::same_plan(fork.current(), warm)) << "duct " << d;
+    EXPECT_TRUE(core::same_plan(core::apply_diff(fresh.current(), repair),
+                                warm));
+  }
+
+  // The base never moved: same plan, no cuts, and a fork made after all of
+  // the above does exactly the work the first fork of each duct did -- the
+  // forks' routing stayed in their own deltas.
+  EXPECT_TRUE(core::same_plan(base->current(), warm));
+  EXPECT_TRUE(base->cut_ducts().empty());
+  for (EdgeId d = 0; d < map.graph().edge_count(); ++d) {
+    core::IncrementalPlanner late(base);
+    (void)late.cut_duct(d);
+    const auto& first = first_cut[static_cast<std::size_t>(d)];
+    EXPECT_EQ(late.last_stats().scenarios, first.scenarios) << "duct " << d;
+    EXPECT_EQ(late.last_stats().pruned, first.pruned) << "duct " << d;
+  }
+
+  core::IncrementalPlanner fork(base);
+  EXPECT_THROW(core::IncrementalPlanner(
+                   std::make_shared<const core::IncrementalPlanner>(
+                       std::move(fork))),
+               std::invalid_argument);
+  EXPECT_THROW(core::IncrementalPlanner(
+                   std::shared_ptr<const core::IncrementalPlanner>()),
+               std::invalid_argument);
 }
 
 TEST(PlanDiff, RejectsDiffAgainstWrongBase) {
