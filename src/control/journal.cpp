@@ -1,11 +1,16 @@
 #include "control/journal.hpp"
 
 #include <algorithm>
+#include <array>
+#include <climits>
+#include <concepts>
 #include <functional>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 namespace iris::control {
 
@@ -18,152 +23,74 @@ struct overloaded : Ts... {
 template <class... Ts>
 overloaded(Ts...) -> overloaded<Ts...>;
 
+/// How the reader checks an integer. A torn write only truncates, so it
+/// cannot yield a value outside [lo, hi]: that is corruption and throws past
+/// the torn-tail tolerance, unless `soft_error` makes it a parse failure.
+struct Bound {
+  long long lo = 0;
+  long long hi = INT_MAX;
+  const char* soft_error = nullptr;
+};
+constexpr Bound kIndex;  ///< a node, edge, DC, port or pool index
+constexpr Bound kUnsigned{0, LLONG_MAX};
+constexpr Bound kAny{LLONG_MIN, LLONG_MAX};
+constexpr long long kMaxCount = 1LL << 24;
+
 // ---- text writing ----------------------------------------------------------
 
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-void put_list(std::ostream& os, const std::vector<int>& v) {
-  os << ' ' << v.size();
-  for (int x : v) os << ' ' << x;
-}
-
-void put_circuit(std::ostream& os, const Circuit& c) {
-  os << "circuit " << c.pair.a << ' ' << c.pair.b << ' ' << c.fiber_pairs << ' '
-     << c.wavelengths << ' ' << c.route.nodes.size();
-  for (graph::NodeId n : c.route.nodes) os << ' ' << n;
-  os << ' ' << c.route.edges.size();
-  for (graph::EdgeId e : c.route.edges) os << ' ' << e;
-  os << ' ' << fmt_double(c.route.length_km) << '\n';
-}
-
-void put_alloc(std::ostream& os, const AllocationRecord& a) {
-  os << "alloc " << a.fibers_per_hop.size();
-  for (const auto& hop : a.fibers_per_hop) put_list(os, hop);
-  os << ' ' << (a.amp_site ? 1 : 0);
-  if (a.amp_site) os << ' ' << *a.amp_site;
-  put_list(os, a.amp_units);
-  put_list(os, a.add_drop_a);
-  put_list(os, a.add_drop_b);
-  os << '\n';
-}
-
-void put_record(std::ostream& os, const CheckpointRecord& r) {
-  const ControllerCheckpoint& s = r.state;
-  os << "checkpoint " << s.applies_completed << ' ' << s.active.size() << '\n';
-  for (std::size_t i = 0; i < s.active.size(); ++i) {
-    put_circuit(os, s.active[i]);
-    put_alloc(os, s.allocations[i]);
+/// Writes the fields the schema below visits as ` <value>`; line() starts
+/// the record's next line with its keyword.
+class Writer {
+ public:
+  explicit Writer(std::ostream& os) : os_(os) {}
+  void line(const char* keyword) { os_ << '\n' << keyword; }
+  /// save() sets the stream to 17 significant digits: doubles round-trip.
+  template <class T>
+  void num(const T& v, const char*, Bound = kIndex) {
+    os_ << ' ' << v;
   }
-  os << "fibers " << s.free_fibers.size() << '\n';
-  for (std::size_t d = 0; d < s.free_fibers.size(); ++d) {
-    os << "pool";
-    put_list(os, s.free_fibers[d]);
-    put_list(os, d < s.quarantined_fibers.size() ? s.quarantined_fibers[d]
-                                                 : std::vector<int>{});
-    os << '\n';
+  /// Omitted at or below its default (the serial command plane).
+  void tagged(int v, const char* tag, int dflt, const char*) {
+    if (v > dflt) os_ << ' ' << tag << ' ' << v;
   }
-  os << "amps " << s.free_amps.size() << '\n';
-  for (std::size_t n = 0; n < s.free_amps.size(); ++n) {
-    os << "pool";
-    put_list(os, s.free_amps[n]);
-    put_list(os, n < s.quarantined_amps.size() ? s.quarantined_amps[n]
-                                               : std::vector<int>{});
-    os << '\n';
+  void optional(const std::optional<int>& v, const char*, const char*) {
+    os_ << ' ' << (v ? 1 : 0);
+    if (v) os_ << ' ' << *v;
   }
-  // Union of keys so a lazily-created quarantine entry without a matching
-  // free entry (or vice versa) still round-trips.
-  std::set<graph::NodeId> dcs;
-  for (const auto& [dc, pool] : s.free_add_drop) dcs.insert(dc);
-  for (const auto& [dc, pool] : s.quarantined_add_drop) dcs.insert(dc);
-  os << "add_drop " << dcs.size() << '\n';
-  for (graph::NodeId dc : dcs) {
-    static const std::vector<int> kNone;
-    const auto f = s.free_add_drop.find(dc);
-    const auto q = s.quarantined_add_drop.find(dc);
-    os << "dcpool " << dc;
-    put_list(os, f == s.free_add_drop.end() ? kNone : f->second);
-    put_list(os, q == s.quarantined_add_drop.end() ? kNone : q->second);
-    os << '\n';
+  template <class C>
+  std::size_t size(const C& c, const char*) {
+    os_ << ' ' << c.size();
+    return c.size();
   }
-  os << "quarantined_txs " << s.quarantined_txs.size() << '\n';
-  for (const auto& [dc, txs] : s.quarantined_txs) {
-    os << "dctxs " << dc << ' ' << txs.size();
-    for (int t : txs) os << ' ' << t;
-    os << '\n';
+  template <class C, class F>
+  void items(const C& c, std::size_t, F&& f) {
+    for (const auto& x : c) f(x);
   }
-  os << "zombies " << s.zombies.size() << '\n';
-  for (const ZombieConnect& z : s.zombies) {
-    os << "zombie " << z.site << ' ' << z.in_port << ' ' << z.out_port << '\n';
+  /// Entry `k` (a vector index or a map key) of one of two parallel
+  /// containers; an entry only the other one has writes as empty.
+  template <class C, class K>
+  const auto& at(const C& c, const K& k) {
+    static const std::remove_cvref_t<decltype(c.at(k))> kNone{};
+    if constexpr (requires { c.find(k); }) {
+      const auto it = c.find(k);
+      return it == c.end() ? kNone : it->second;
+    } else {
+      return k < c.size() ? c[k] : kNone;
+    }
   }
-  os << "expected_tuned " << s.expected_tuned.size() << '\n';
-  for (const auto& [dc, count] : s.expected_tuned) {
-    os << "tuned " << dc << ' ' << count << '\n';
+  /// The keys of one map or the union of two, in order.
+  template <class M>
+  std::vector<typename M::key_type> keys(const M& a, const M& b = {}) {
+    std::set<typename M::key_type> all;
+    for (const M* m : {&a, &b}) {
+      for (const auto& kv : *m) all.insert(kv.first);
+    }
+    return {all.begin(), all.end()};
   }
-  os << "failed_ducts " << s.failed_ducts.size();
-  for (graph::EdgeId e : s.failed_ducts) os << ' ' << e;
-  os << '\n';
-}
 
-// The schedule-slot fields are omitted when unset (serial command plane), so
-// serial journals stay byte-identical to the historical format.
-void put_record(std::ostream& os, const BeginApplyRecord& r) {
-  os << "begin_apply " << r.seq << ' ' << r.strategy << ' ' << r.target.size();
-  if (r.slots > 0) os << " slots " << r.slots;
-  os << '\n';
-  for (const Circuit& c : r.target) put_circuit(os, c);
-}
-
-void put_record(std::ostream& os, const TeardownBeginRecord& r) {
-  os << "teardown_begin";
-  if (r.slot >= 0) os << " slot " << r.slot;
-  os << '\n';
-  put_circuit(os, r.circuit);
-}
-
-void put_record(std::ostream& os, const TeardownDoneRecord& r) {
-  os << "teardown_done\n";
-  put_circuit(os, r.circuit);
-}
-
-void put_record(std::ostream& os, const EstablishBeginRecord& r) {
-  os << "establish_begin";
-  if (r.slot >= 0) os << " slot " << r.slot;
-  os << '\n';
-  put_circuit(os, r.circuit);
-  put_alloc(os, r.alloc);
-}
-
-void put_record(std::ostream& os, const EstablishDoneRecord& r) {
-  os << "establish_done\n";
-  put_circuit(os, r.circuit);
-}
-
-void put_record(std::ostream& os, const QuarantineRecord& r) {
-  os << "quarantine " << r.kind << ' ' << r.a << ' ' << r.b << '\n';
-}
-
-void put_record(std::ostream& os, const ZombieRecord& r) {
-  os << "zombie " << r.zombie.site << ' ' << r.zombie.in_port << ' '
-     << r.zombie.out_port << '\n';
-}
-
-void put_record(std::ostream& os, const DuctEventRecord& r) {
-  os << "duct_event " << r.duct << ' ' << (r.failed ? 1 : 0) << '\n';
-}
-
-void put_record(std::ostream& os, const ApplyEndRecord& r) {
-  os << "apply_end " << r.seq << ' ' << r.outcome << ' ' << r.active.size()
-     << ' ' << r.expected_tuned.size() << '\n';
-  for (const Circuit& c : r.active) put_circuit(os, c);
-  for (const auto& [dc, count] : r.expected_tuned) {
-    os << "tuned " << dc << ' ' << count << '\n';
-  }
-}
+ private:
+  std::ostream& os_;
+};
 
 // ---- text reading ----------------------------------------------------------
 
@@ -175,357 +102,292 @@ struct ParseError {
   std::string what;
 };
 
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& what) {
-  throw ParseError{line_no, what};
-}
-
-/// Tokenizer over one journal line.
-class Line {
+/// Reads the fields the schema below visits from `n` framed lines, one line
+/// at a time, starting on the first.
+class Reader {
  public:
-  Line(const std::string& text, std::size_t line_no)
-      : ss_(text), line_no_(line_no) {}
+  Reader(const std::vector<std::string>& lines, std::size_t first,
+         std::size_t n)
+      : lines_(lines), next_(first), end_(first + n) {
+    advance("record type");
+  }
 
-  std::string word(const char* what) {
-    std::string w;
-    if (!(ss_ >> w)) parse_fail(line_no_, std::string("expected ") + what);
-    return w;
+  /// The next token, parsed as a T.
+  template <class T = long long>
+  T read(const char* what) {
+    T v{};
+    if (!(ss_ >> v)) fail(std::string("expected ") + what);
+    return v;
   }
   void expect(const char* keyword) {
-    const std::string w = word(keyword);
+    const auto w = read<std::string>(keyword);
     if (w != keyword) {
-      parse_fail(line_no_, std::string("expected '") + keyword + "', got '" +
-                               w + "'");
+      fail(std::string("expected '") + keyword + "', got '" + w + "'");
     }
   }
-  long long num(const char* what) {
-    long long v = 0;
-    if (!(ss_ >> v)) parse_fail(line_no_, std::string("expected ") + what);
-    return v;
-  }
-  /// A node, edge, DC, port or pool index: non-negative and int-sized. A
-  /// torn write only truncates, so it can never produce such a value -- a
-  /// bad index is corruption and throws past the torn-tail tolerance.
-  int index(const char* what) {
-    const long long v = num(what);
-    if (v < 0 || v > std::numeric_limits<int>::max()) {
-      throw std::runtime_error("journal: line " + std::to_string(line_no_) +
-                               ": bad " + what + " index " +
-                               std::to_string(v));
-    }
-    return static_cast<int>(v);
-  }
-  int count(const char* what) {
-    const long long v = num(what);
-    if (v < 0 || v > (1LL << 24)) {
-      parse_fail(line_no_, std::string("bad count for ") + what);
-    }
-    return static_cast<int>(v);
-  }
-  double real(const char* what) {
-    double v = 0.0;
-    if (!(ss_ >> v)) parse_fail(line_no_, std::string("expected ") + what);
-    return v;
-  }
-  /// Optional trailing `<tag> <value>` pair: absent at end of line returns
-  /// `dflt`; a present token that is not `tag` is a parse failure.
-  long long opt_tagged_num(const char* tag, long long dflt) {
-    std::string w;
-    if (!(ss_ >> w)) return dflt;
-    if (w != tag) {
-      parse_fail(line_no_,
-                 std::string("expected '") + tag + "', got '" + w + "'");
-    }
-    return num(tag);
+  void line(const char* keyword) {
+    end();
+    advance(keyword);
+    expect(keyword);
   }
   void end() {
     std::string extra;
-    if (ss_ >> extra) {
-      parse_fail(line_no_, "trailing tokens starting at '" + extra + "'");
-    }
-  }
-  [[nodiscard]] std::size_t line_no() const noexcept { return line_no_; }
-
- private:
-  std::istringstream ss_;
-  std::size_t line_no_;
-};
-
-/// The framed body lines of one record.
-class Body {
- public:
-  Body(const std::vector<std::string>& lines, std::size_t first, std::size_t n)
-      : lines_(lines), next_(first), end_(first + n) {}
-
-  Line next(const char* what) {
-    if (next_ >= end_) {
-      parse_fail(end_, std::string("record truncated: missing ") + what);
-    }
-    const std::size_t i = next_++;
-    return Line(lines_[i], i + 1);
+    if (ss_ >> extra) fail("trailing tokens starting at '" + extra + "'");
   }
   void done() {
-    if (next_ < end_) parse_fail(next_ + 1, "unconsumed lines in record");
+    if (next_ < end_) {
+      throw ParseError{next_ + 1, "unconsumed lines in record"};
+    }
+  }
+  [[noreturn]] void fail(const std::string& what) {
+    throw ParseError{next_, what};  // next_: the current line's 1-based number
+  }
+
+  template <class T>
+  void num(T& v, const char* what, Bound b = kIndex) {
+    if constexpr (std::is_floating_point_v<T>) {
+      v = read<T>(what);
+      return;
+    }
+    const long long x = read(what);
+    if (x < b.lo || x > b.hi) {
+      if (b.soft_error != nullptr) fail(b.soft_error);
+      throw std::runtime_error("journal: line " + std::to_string(next_) +
+                               ": bad " + what + " " + std::to_string(x));
+    }
+    v = static_cast<T>(x);
+  }
+  void tagged(int& v, const char* tag, int dflt, const char* error) {
+    v = dflt;
+    if ((ss_ >> std::ws).eof()) return;
+    expect(tag);
+    num(v, tag, Bound{dflt, kMaxCount, error});
+  }
+  void optional(std::optional<int>& v, const char* flag, const char* what) {
+    if (read(flag) != 0) num(v.emplace(), what);
+  }
+  std::size_t count(const char* what) {
+    const long long x = read(what);
+    if (x < 0 || x > kMaxCount) fail(std::string("bad count for ") + what);
+    return static_cast<std::size_t>(x);
+  }
+  template <class C>
+  std::size_t size(C&, const char* what) {
+    return count(what);
+  }
+  template <class C, class F>
+  void items(C& c, std::size_t n, F&& f) {
+    c.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      typename C::value_type x{};
+      f(x);
+      c.insert(c.end(), std::move(x));
+    }
+  }
+  template <class C, class K>
+  auto& at(C& c, const K& k) {
+    if constexpr (!requires { c.find(k); }) {
+      if (k >= c.size()) c.resize(k + 1);
+    }
+    return c[k];
+  }
+  template <class M>
+  std::vector<typename M::key_type> keys(const M&, const M& = {}) {
+    return {};  // filled in as items() reads them
   }
 
  private:
+  void advance(const char* what) {
+    if (next_ >= end_) fail(std::string("record truncated: missing ") + what);
+    ss_.clear();
+    ss_.str(lines_[next_++]);
+  }
+
   const std::vector<std::string>& lines_;
   std::size_t next_;
   std::size_t end_;
+  std::istringstream ss_;
 };
 
-std::vector<int> read_list(Line& ln, const char* what) {
-  const int n = ln.count(what);
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(ln.index(what));
-  return out;
+// ---- the schema ------------------------------------------------------------
+//
+// The one statement of the `iris-journal v1` record format: each function
+// lists a type's fields in wire order, and Writer and Reader both walk it.
+// `R` is the type itself when reading and `const` of it when writing.
+
+template <class R, class T>
+concept Of = std::same_as<std::remove_const_t<R>, T>;
+
+/// `<count> <index>...` on the current line.
+template <class IO, class C>
+void list(IO& io, C& c, const char* what) {
+  io.items(c, io.size(c, what), [&](auto& x) { io.num(x, what); });
 }
 
-Circuit parse_circuit(Line& ln) {
-  ln.expect("circuit");
-  Circuit c;
-  c.pair.a = ln.index("pair.a");
-  c.pair.b = ln.index("pair.b");
-  c.fiber_pairs = static_cast<int>(ln.num("fiber_pairs"));
-  c.wavelengths = ln.num("wavelengths");
-  const int nn = ln.count("node count");
-  c.route.nodes.reserve(static_cast<std::size_t>(nn));
-  for (int i = 0; i < nn; ++i) {
-    c.route.nodes.push_back(ln.index("node"));
-  }
-  const int ne = ln.count("edge count");
-  c.route.edges.reserve(static_cast<std::size_t>(ne));
-  for (int i = 0; i < ne; ++i) {
-    c.route.edges.push_back(ln.index("edge"));
-  }
-  c.route.length_km = ln.real("length_km");
-  ln.end();
-  return c;
+template <class IO, Of<Circuit> C>
+void fields(IO& io, C& c) {
+  io.line("circuit");
+  io.num(c.pair.a, "pair.a");
+  io.num(c.pair.b, "pair.b");
+  io.num(c.fiber_pairs, "fiber_pairs");
+  io.num(c.wavelengths, "wavelengths", kAny);
+  list(io, c.route.nodes, "node");
+  list(io, c.route.edges, "edge");
+  io.num(c.route.length_km, "length_km");
 }
 
-AllocationRecord parse_alloc(Line& ln) {
-  ln.expect("alloc");
-  AllocationRecord a;
-  const int hops = ln.count("hop count");
-  a.fibers_per_hop.reserve(static_cast<std::size_t>(hops));
-  for (int h = 0; h < hops; ++h) {
-    a.fibers_per_hop.push_back(read_list(ln, "hop fibers"));
-  }
-  if (ln.num("amp flag") != 0) {
-    a.amp_site = ln.index("amp site");
-  }
-  a.amp_units = read_list(ln, "amp units");
-  a.add_drop_a = read_list(ln, "add/drop a");
-  a.add_drop_b = read_list(ln, "add/drop b");
-  ln.end();
-  return a;
+template <class IO, Of<AllocationRecord> A>
+void fields(IO& io, A& a) {
+  io.line("alloc");
+  io.items(a.fibers_per_hop, io.size(a.fibers_per_hop, "hop count"),
+           [&](auto& hop) { list(io, hop, "hop fiber"); });
+  io.optional(a.amp_site, "amp flag", "amp site");
+  list(io, a.amp_units, "amp unit");
+  list(io, a.add_drop_a, "add/drop a");
+  list(io, a.add_drop_b, "add/drop b");
 }
 
-ZombieConnect parse_zombie_fields(Line& ln) {
-  ZombieConnect z;
-  z.site = ln.index("zombie site");
-  z.in_port = ln.index("zombie in_port");
-  z.out_port = ln.index("zombie out_port");
-  ln.end();
-  return z;
+/// `<site> <in_port> <out_port>`: checkpoint `zombie` lines and the record.
+template <class IO, Of<ZombieConnect> Z>
+void fields(IO& io, Z& z) {
+  io.num(z.site, "zombie site");
+  io.num(z.in_port, "zombie in_port");
+  io.num(z.out_port, "zombie out_port");
 }
 
-JournalEntry parse_checkpoint(Line& header, Body& body) {
-  ControllerCheckpoint s;
-  s.applies_completed = static_cast<std::uint64_t>(
-      header.num("applies_completed"));
-  const int n_active = header.count("active count");
-  header.end();
-  for (int i = 0; i < n_active; ++i) {
-    Line cl = body.next("circuit");
-    s.active.push_back(parse_circuit(cl));
-    Line al = body.next("alloc");
-    s.allocations.push_back(parse_alloc(al));
-  }
-  {
-    Line h = body.next("fibers header");
-    h.expect("fibers");
-    const int ducts = h.count("duct count");
-    h.end();
-    for (int d = 0; d < ducts; ++d) {
-      Line p = body.next("fiber pool");
-      p.expect("pool");
-      s.free_fibers.push_back(read_list(p, "free fibers"));
-      s.quarantined_fibers.push_back(read_list(p, "quarantined fibers"));
-      p.end();
-    }
-  }
-  {
-    Line h = body.next("amps header");
-    h.expect("amps");
-    const int sites = h.count("site count");
-    h.end();
-    for (int n = 0; n < sites; ++n) {
-      Line p = body.next("amp pool");
-      p.expect("pool");
-      s.free_amps.push_back(read_list(p, "free amps"));
-      s.quarantined_amps.push_back(read_list(p, "quarantined amps"));
-      p.end();
-    }
-  }
-  {
-    Line h = body.next("add_drop header");
-    h.expect("add_drop");
-    const int dcs = h.count("dc count");
-    h.end();
-    for (int i = 0; i < dcs; ++i) {
-      Line p = body.next("add/drop pool");
-      p.expect("dcpool");
-      const graph::NodeId dc = p.index("dc");
-      s.free_add_drop[dc] = read_list(p, "free add/drop");
-      s.quarantined_add_drop[dc] = read_list(p, "quarantined add/drop");
-      p.end();
-    }
-  }
-  {
-    Line h = body.next("quarantined_txs header");
-    h.expect("quarantined_txs");
-    const int dcs = h.count("dc count");
-    h.end();
-    for (int i = 0; i < dcs; ++i) {
-      Line p = body.next("tx set");
-      p.expect("dctxs");
-      const graph::NodeId dc = p.index("dc");
-      auto& set = s.quarantined_txs[dc];
-      for (int t : read_list(p, "quarantined txs")) set.insert(t);
-      p.end();
-    }
-  }
-  {
-    Line h = body.next("zombies header");
-    h.expect("zombies");
-    const int n = h.count("zombie count");
-    h.end();
-    for (int i = 0; i < n; ++i) {
-      Line z = body.next("zombie");
-      z.expect("zombie");
-      s.zombies.push_back(parse_zombie_fields(z));
-    }
-  }
-  {
-    Line h = body.next("expected_tuned header");
-    h.expect("expected_tuned");
-    const int n = h.count("dc count");
-    h.end();
-    for (int i = 0; i < n; ++i) {
-      Line t = body.next("tuned");
-      t.expect("tuned");
-      const graph::NodeId dc = t.index("dc");
-      s.expected_tuned[dc] = t.num("tuned count");
-      t.end();
-    }
-  }
-  {
-    Line h = body.next("failed_ducts");
-    h.expect("failed_ducts");
-    for (int e : read_list(h, "failed ducts")) {
-      s.failed_ducts.push_back(static_cast<graph::EdgeId>(e));
-    }
-    h.end();
-  }
-  validate_checkpoint(s);  // semantic corruption always throws, even if final
-  return CheckpointRecord{std::move(s)};
+/// `n` lines of `tuned <dc> <count>`: checkpoints and apply_end.
+template <class IO, class M>
+void tuned_lines(IO& io, M& tuned, std::size_t n) {
+  auto dcs = io.keys(tuned);
+  io.items(dcs, n, [&](auto& dc) {
+    io.line("tuned");
+    io.num(dc, "dc");
+    io.num(io.at(tuned, dc), "tuned count", kAny);
+  });
 }
 
-JournalEntry parse_record(Body& body) {
-  Line ln = body.next("record type");
-  const std::string kw = ln.word("record type");
-  if (kw == "checkpoint") return parse_checkpoint(ln, body);
-  if (kw == "begin_apply") {
-    BeginApplyRecord r;
-    r.seq = static_cast<std::uint64_t>(ln.num("seq"));
-    r.strategy = static_cast<int>(ln.num("strategy"));
-    const int n = ln.count("target count");
-    const long long slots = ln.opt_tagged_num("slots", 0);
-    ln.end();
-    if (slots < 0 || slots > (1LL << 24)) {
-      parse_fail(ln.line_no(), "bad slot count");
-    }
-    r.slots = static_cast<int>(slots);
-    for (int i = 0; i < n; ++i) {
-      Line cl = body.next("target circuit");
-      r.target.push_back(parse_circuit(cl));
-    }
-    return r;
+/// `<keyword> <n>`, then n lines of `pool <free...> <quarantined...>`.
+template <class IO, class P>
+void pools(IO& io, const char* keyword, P& free, P& quarantined) {
+  io.line(keyword);
+  const std::size_t n = io.size(free, "pool count");
+  for (std::size_t i = 0; i < n; ++i) {
+    io.line("pool");
+    list(io, io.at(free, i), "free unit");
+    list(io, io.at(quarantined, i), "quarantined unit");
   }
-  if (kw == "teardown_begin" || kw == "teardown_done" ||
-      kw == "establish_done") {
-    long long slot = -1;
-    if (kw == "teardown_begin") slot = ln.opt_tagged_num("slot", -1);
-    ln.end();
-    if (slot < -1 || slot > (1LL << 24)) {
-      parse_fail(ln.line_no(), "bad schedule slot");
-    }
-    Line cl = body.next("circuit");
-    Circuit c = parse_circuit(cl);
-    if (kw == "teardown_begin") {
-      return TeardownBeginRecord{std::move(c), static_cast<int>(slot)};
-    }
-    if (kw == "teardown_done") return TeardownDoneRecord{std::move(c)};
-    return EstablishDoneRecord{std::move(c)};
-  }
-  if (kw == "establish_begin") {
-    const long long slot = ln.opt_tagged_num("slot", -1);
-    ln.end();
-    if (slot < -1 || slot > (1LL << 24)) {
-      parse_fail(ln.line_no(), "bad schedule slot");
-    }
-    Line cl = body.next("circuit");
-    Circuit c = parse_circuit(cl);
-    Line al = body.next("alloc");
-    AllocationRecord a = parse_alloc(al);
-    return EstablishBeginRecord{std::move(c), std::move(a),
-                                static_cast<int>(slot)};
-  }
-  if (kw == "quarantine") {
-    QuarantineRecord r;
-    r.kind = static_cast<int>(ln.num("kind"));
-    r.a = ln.index("quarantine duct/site");
-    r.b = ln.index("quarantine unit");
-    ln.end();
-    if (r.kind < 0 || r.kind > 3) parse_fail(ln.line_no(), "bad quarantine kind");
-    return r;
-  }
-  if (kw == "zombie") return ZombieRecord{parse_zombie_fields(ln)};
-  if (kw == "duct_event") {
-    DuctEventRecord r;
-    r.duct = ln.index("duct");
-    const long long f = ln.num("failed flag");
-    ln.end();
-    if (f != 0 && f != 1) parse_fail(ln.line_no(), "bad duct_event flag");
-    r.failed = f == 1;
-    return r;
-  }
-  if (kw == "apply_end") {
-    ApplyEndRecord r;
-    r.seq = static_cast<std::uint64_t>(ln.num("seq"));
-    r.outcome = static_cast<int>(ln.num("outcome"));
-    const int n_active = ln.count("active count");
-    const int n_tuned = ln.count("tuned count");
-    ln.end();
-    for (int i = 0; i < n_active; ++i) {
-      Line cl = body.next("active circuit");
-      r.active.push_back(parse_circuit(cl));
-    }
-    for (int i = 0; i < n_tuned; ++i) {
-      Line t = body.next("tuned");
-      t.expect("tuned");
-      const graph::NodeId dc = t.index("dc");
-      r.expected_tuned[dc] = t.num("tuned count");
-      t.end();
-    }
-    return r;
-  }
-  parse_fail(ln.line_no(), "unknown record type '" + kw + "'");
 }
 
-bool blank(const std::string& line) {
-  return line.empty() || line[0] == '#';
+template <class IO, Of<CheckpointRecord> R>
+void fields(IO& io, R& r) {
+  auto& s = r.state;
+  io.num(s.applies_completed, "applies_completed", kUnsigned);
+  const std::size_t n = io.size(s.active, "active count");
+  for (std::size_t i = 0; i < n; ++i) {
+    fields(io, io.at(s.active, i));
+    fields(io, io.at(s.allocations, i));
+  }
+  pools(io, "fibers", s.free_fibers, s.quarantined_fibers);
+  pools(io, "amps", s.free_amps, s.quarantined_amps);
+  io.line("add_drop");
+  auto dcs = io.keys(s.free_add_drop, s.quarantined_add_drop);
+  io.items(dcs, io.size(dcs, "dc count"), [&](auto& dc) {
+    io.line("dcpool");
+    io.num(dc, "dc");
+    list(io, io.at(s.free_add_drop, dc), "free add/drop");
+    list(io, io.at(s.quarantined_add_drop, dc), "quarantined add/drop");
+  });
+  io.line("quarantined_txs");
+  auto tx_dcs = io.keys(s.quarantined_txs);
+  io.items(tx_dcs, io.size(tx_dcs, "dc count"), [&](auto& dc) {
+    io.line("dctxs");
+    io.num(dc, "dc");
+    list(io, io.at(s.quarantined_txs, dc), "quarantined tx");
+  });
+  io.line("zombies");
+  io.items(s.zombies, io.size(s.zombies, "zombie count"), [&](auto& z) {
+    io.line("zombie");
+    fields(io, z);
+  });
+  io.line("expected_tuned");
+  tuned_lines(io, s.expected_tuned, io.size(s.expected_tuned, "dc count"));
+  io.line("failed_ducts");
+  list(io, s.failed_ducts, "failed duct");
+}
+
+// ---- records: the header line's fields, then the body lines ----------------
+
+template <class IO, Of<BeginApplyRecord> R>
+void fields(IO& io, R& r) {
+  io.num(r.seq, "seq", kUnsigned);
+  io.num(r.strategy, "strategy", Bound{0, 1});
+  const std::size_t n = io.size(r.target, "target count");
+  io.tagged(r.slots, "slots", 0, "bad slot count");
+  io.items(r.target, n, [&](auto& c) { fields(io, c); });
+}
+
+template <class IO, class R>
+  requires Of<R, TeardownBeginRecord> || Of<R, EstablishBeginRecord>
+void fields(IO& io, R& r) {
+  io.tagged(r.slot, "slot", -1, "bad schedule slot");
+  fields(io, r.circuit);
+  if constexpr (Of<R, EstablishBeginRecord>) fields(io, r.alloc);
+}
+
+/// Records that wrap one value write just that value.
+template <class IO, class R>
+  requires Of<R, TeardownDoneRecord> || Of<R, EstablishDoneRecord> ||
+           Of<R, ZombieRecord>
+void fields(IO& io, R& r) {
+  auto& [value] = r;
+  fields(io, value);
+}
+
+template <class IO, Of<QuarantineRecord> R>
+void fields(IO& io, R& r) {
+  io.num(r.kind, "kind", Bound{0, 3, "bad quarantine kind"});
+  io.num(r.a, "quarantine duct/site");
+  io.num(r.b, "quarantine unit");
+}
+
+template <class IO, Of<DuctEventRecord> R>
+void fields(IO& io, R& r) {
+  io.num(r.duct, "duct");
+  io.num(r.failed, "failed flag", Bound{0, 1, "bad duct_event flag"});
+}
+
+template <class IO, Of<ApplyEndRecord> R>
+void fields(IO& io, R& r) {
+  io.num(r.seq, "seq", kUnsigned);
+  io.num(r.outcome, "outcome", Bound{0, 2});
+  const std::size_t n_active = io.size(r.active, "active count");
+  const std::size_t n_tuned = io.size(r.expected_tuned, "tuned count");
+  io.items(r.active, n_active, [&](auto& c) { fields(io, c); });
+  tuned_lines(io, r.expected_tuned, n_tuned);
+}
+
+/// Record keywords, in JournalEntry alternative order.
+constexpr std::array<std::string_view, std::variant_size_v<JournalEntry>>
+    kKeywords = {"checkpoint", "begin_apply", "teardown_begin", "teardown_done",
+                 "establish_begin", "establish_done", "quarantine", "zombie",
+                 "duct_event", "apply_end"};
+
+JournalEntry read_record(Reader& io) {
+  static const auto kBlank = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<JournalEntry, sizeof...(I)>{
+        JournalEntry(std::in_place_index<I>)...};
+  }(std::make_index_sequence<kKeywords.size()>{});
+  const auto kw = io.read<std::string>("record type");
+  const auto it = std::find(kKeywords.begin(), kKeywords.end(), kw);
+  if (it == kKeywords.end()) io.fail("unknown record type '" + kw + "'");
+  JournalEntry entry = kBlank[static_cast<std::size_t>(it - kKeywords.begin())];
+  std::visit([&](auto& r) { fields(io, r); }, entry);
+  io.end();
+  if (const auto* cp = std::get_if<CheckpointRecord>(&entry)) {
+    validate_checkpoint(cp->state);  // corruption throws, even if final
+  }
+  io.done();
+  return entry;
 }
 
 }  // namespace
@@ -543,9 +405,14 @@ std::size_t IntentJournal::compact() {
 
 void IntentJournal::save(std::ostream& os) const {
   os << "iris-journal v1\n";
+  std::ostringstream body;
+  body.precision(17);
+  Writer io(body);
   for (const JournalEntry& e : entries_) {
-    std::ostringstream body;
-    std::visit([&](const auto& r) { put_record(body, r); }, e);
+    body.str("");
+    body << kKeywords[e.index()];
+    std::visit([&](const auto& r) { fields(io, r); }, e);
+    body << '\n';
     const std::string text = body.str();
     os << "record " << std::count(text.begin(), text.end(), '\n') << '\n'
        << text;
@@ -563,69 +430,50 @@ IntentJournal IntentJournal::load(std::istream& is) {
   for (std::string line; std::getline(is, line);) {
     lines.push_back(std::move(line));
   }
+  const auto blank = [](const std::string& l) {
+    return l.empty() || l[0] == '#';
+  };
   IntentJournal journal;
-
-  const auto all_blank_from = [&](std::size_t k) {
-    for (std::size_t t = k; t < lines.size(); ++t) {
-      if (!blank(lines[t])) return false;
-    }
-    return true;
-  };
-  const auto rethrow = [](const ParseError& e) -> void {
-    throw std::runtime_error("journal: line " + std::to_string(e.line_no) +
-                             ": " + e.what);
-  };
-
-  std::size_t i = 0;
-  while (i < lines.size() && blank(lines[i])) ++i;
-  if (i >= lines.size()) return journal;  // empty file: empty journal
-  try {
-    Line header(lines[i], i + 1);
-    header.expect("iris-journal");
-    header.expect("v1");
-    header.end();
-  } catch (const ParseError& e) {
-    if (all_blank_from(i + 1)) {  // half-written header: a torn, empty log
-      journal.dropped_torn_tail_ = true;
-      return journal;
-    }
-    rethrow(e);
-  }
-  ++i;
-
-  while (true) {
+  bool file_header = true;
+  for (std::size_t i = 0;;) {
     while (i < lines.size() && blank(lines[i])) ++i;
-    if (i >= lines.size()) break;
+    if (i >= lines.size()) return journal;  // an empty file is an empty log
     // The defective region a parse failure taints: just the header line
     // until the framing count is known, the framed body once it is. The
     // torn-tail test below must not see lines before the failure.
     std::size_t record_end = i + 1;
     try {
-      Line header(lines[i], i + 1);
-      header.expect("record");
-      const int n = header.count("record line count");
-      header.end();
-      record_end = i + 1 + static_cast<std::size_t>(n);
-      if (record_end > lines.size()) {
-        parse_fail(lines.size(), "record truncated at end of file");
+      Reader header(lines, i, 1);
+      if (std::exchange(file_header, false)) {
+        header.expect("iris-journal");
+        header.expect("v1");
+        header.end();
+      } else {
+        header.expect("record");
+        const std::size_t n = header.count("record line count");
+        header.end();
+        record_end += n;
+        if (record_end > lines.size()) {
+          throw ParseError{lines.size(), "record truncated at end of file"};
+        }
+        Reader body(lines, i + 1, n);
+        journal.entries_.push_back(read_record(body));
       }
-      Body body(lines, i + 1, static_cast<std::size_t>(n));
-      JournalEntry entry = parse_record(body);
-      body.done();
-      journal.entries_.push_back(std::move(entry));
       i = record_end;
     } catch (const ParseError& e) {
-      // A defective final record is a torn tail -- the crash interrupted the
-      // write -- and is dropped. Defects with intact records after them are
-      // corruption, not tearing.
-      if (all_blank_from(std::min(record_end, lines.size()))) {
+      // A defective final record (or half-written file header) is a torn
+      // tail -- the crash interrupted the write -- and is dropped. Defects
+      // with intact records after them are corruption, not tearing.
+      if (std::all_of(lines.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(record_end, lines.size())),
+                      lines.end(), blank)) {
         journal.dropped_torn_tail_ = true;
         return journal;
       }
-      rethrow(e);
+      throw std::runtime_error("journal: line " + std::to_string(e.line_no) +
+                               ": " + e.what);
     }
   }
-  return journal;
 }
 
 IntentJournal IntentJournal::from_text(const std::string& text) {

@@ -17,6 +17,38 @@
 // core/plan_io: `save`/`load` round-trip exactly; a torn final record (the
 // crash happened mid-write) is tolerated and dropped; a structurally corrupt
 // checkpoint is rejected with a clear error.
+//
+// The format is stated once, by the per-type field lists ("the schema") in
+// journal.cpp: save() and load() both walk them. In summary, a file is the
+// line `iris-journal v1`, then records framed as `record <n>` plus n lines,
+// where `<x...>` is a count and that many values:
+//
+//   checkpoint <applies> <n>                          + n x (circuit, alloc),
+//       fibers <d>                      + d x `pool <free...> <quar...>`
+//       amps <s>                        + s x `pool <free...> <quar...>`
+//       add_drop <k>                    + k x `dcpool <dc> <free...> <quar...>`
+//       quarantined_txs <k>             + k x `dctxs <dc> <tx...>`
+//       zombies <z>                     + z x `zombie <site> <in> <out>`
+//       expected_tuned <k>              + k x `tuned <dc> <count>`
+//       failed_ducts <duct...>
+//   begin_apply <seq> <strategy> <n> [slots <s>]      + n x circuit
+//   teardown_begin [slot <k>]                         + circuit
+//   teardown_done                                     + circuit
+//   establish_begin [slot <k>]                        + circuit, alloc
+//   establish_done                                    + circuit
+//   quarantine <kind> <a> <b>
+//   zombie <site> <in_port> <out_port>
+//   duct_event <duct> <0|1>
+//   apply_end <seq> <outcome> <n> <t>                 + n x circuit, t x tuned
+//
+//   circuit <a> <b> <fiber_pairs> <wavelengths> <node...> <edge...> <km>
+//   alloc <hop...> <0 | 1 site> <amp unit...> <add/drop a...> <add/drop b...>
+//         (each hop is itself `<fiber...>`)
+//
+// `slots`/`slot` appear only on the async command plane. A value a torn
+// write cannot produce -- a negative index or sequence number, a fiber count
+// past int, an unknown strategy or outcome -- is corruption even in the
+// final record.
 #pragma once
 
 #include <cstdint>

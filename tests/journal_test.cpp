@@ -7,11 +7,16 @@
 // in-flight apply a crash interrupted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "control/commands.hpp"
 #include "control/controller.hpp"
 #include "control/journal.hpp"
 #include "fibermap/generator.hpp"
@@ -112,6 +117,151 @@ TEST(JournalText, EmptyJournalRoundTrips) {
   EXPECT_FALSE(reloaded.dropped_torn_tail());
   // A wholly empty file is an empty journal, not an error.
   EXPECT_TRUE(IntentJournal::from_text("").empty());
+}
+
+Circuit golden_circuit(graph::NodeId a, graph::NodeId b,
+                       std::vector<graph::NodeId> nodes,
+                       std::vector<graph::EdgeId> edges, double km) {
+  Circuit c;
+  c.pair = DcPair(a, b);
+  c.route.nodes = std::move(nodes);
+  c.route.edges = std::move(edges);
+  c.route.length_km = km;
+  c.fiber_pairs = 2;
+  c.wavelengths = 40;
+  return c;
+}
+
+/// Every record type written by hand: serial and async apply records, an
+/// allocation with and without an amplifier site, a checkpoint whose
+/// quarantined add/drop pools name a DC the free pools lack, and a
+/// non-integral route length.
+IntentJournal golden_journal() {
+  const Circuit lit = golden_circuit(0, 2, {0, 5, 2}, {1, 3}, 12.3);
+  const Circuit next = golden_circuit(2, 0, {2, 4, 0}, {0, 2}, 7.0);
+  AllocationRecord lit_alloc;
+  lit_alloc.fibers_per_hop = {{0, 1}, {2, 3}};
+  lit_alloc.amp_site = 5;
+  lit_alloc.amp_units = {0, 1};
+  lit_alloc.add_drop_a = {0, 1};
+  lit_alloc.add_drop_b = {2, 3};
+  AllocationRecord next_alloc;
+  next_alloc.fibers_per_hop = {{1, 0}, {3, 2}};
+  next_alloc.add_drop_a = {3, 2};
+  next_alloc.add_drop_b = {1, 0};
+
+  ControllerCheckpoint cp;
+  cp.applies_completed = 4;
+  cp.active = {lit};
+  cp.allocations = {lit_alloc};
+  cp.free_fibers = {{3, 2}, {3, 2}, {1, 0}, {1, 0}};
+  cp.quarantined_fibers = {{}, {4}, {}, {}};
+  cp.free_amps = {{}, {}, {}, {}, {}, {3, 2}};
+  cp.quarantined_amps = {{}, {}, {}, {}, {}, {4}};
+  cp.free_add_drop = {{0, {3, 2}}, {2, {1, 0}}};
+  cp.quarantined_add_drop = {{0, {4}}, {7, {0}}};
+  cp.quarantined_txs = {{2, {1, 5}}};
+  cp.zombies = {{5, 3, 9}};
+  cp.expected_tuned = {{0, 2}, {2, 2}};
+  cp.failed_ducts = {2};
+
+  IntentJournal j;
+  j.append(CheckpointRecord{cp});
+  j.append(BeginApplyRecord{5, 1, {next}});
+  j.append(TeardownBeginRecord{lit});
+  j.append(TeardownDoneRecord{lit});
+  j.append(EstablishBeginRecord{next, next_alloc});
+  j.append(EstablishDoneRecord{next});
+  j.append(QuarantineRecord{3, 2, 6});
+  j.append(ZombieRecord{{5, 4, 10}});
+  j.append(DuctEventRecord{2, false});
+  j.append(ApplyEndRecord{5, 0, {next}, {{0, 2}, {2, 2}}});
+  j.append(DuctEventRecord{1, true});
+  j.append(BeginApplyRecord{6, 0, {lit}, 3});
+  j.append(TeardownBeginRecord{next, 2});
+  j.append(EstablishBeginRecord{lit, lit_alloc, 0});
+  return j;
+}
+
+// The wire format, byte for byte: state fingerprints hash save() output and
+// shard recovery round-trips the journal through text, so any drift in the
+// writer or the reader shows here first.
+TEST(JournalText, GoldenTextPinsTheWireFormat) {
+  const std::string golden = R"(iris-journal v1
+record 27
+checkpoint 4 1
+circuit 0 2 2 40 3 0 5 2 2 1 3 12.300000000000001
+alloc 2 2 0 1 2 2 3 1 5 2 0 1 2 0 1 2 2 3
+fibers 4
+pool 2 3 2 0
+pool 2 3 2 1 4
+pool 2 1 0 0
+pool 2 1 0 0
+amps 6
+pool 0 0
+pool 0 0
+pool 0 0
+pool 0 0
+pool 0 0
+pool 2 3 2 1 4
+add_drop 3
+dcpool 0 2 3 2 1 4
+dcpool 2 2 1 0 0
+dcpool 7 0 1 0
+quarantined_txs 1
+dctxs 2 2 1 5
+zombies 1
+zombie 5 3 9
+expected_tuned 2
+tuned 0 2
+tuned 2 2
+failed_ducts 1 2
+record 2
+begin_apply 5 1 1
+circuit 0 2 2 40 3 2 4 0 2 0 2 7
+record 2
+teardown_begin
+circuit 0 2 2 40 3 0 5 2 2 1 3 12.300000000000001
+record 2
+teardown_done
+circuit 0 2 2 40 3 0 5 2 2 1 3 12.300000000000001
+record 3
+establish_begin
+circuit 0 2 2 40 3 2 4 0 2 0 2 7
+alloc 2 2 1 0 2 3 2 0 0 2 3 2 2 1 0
+record 2
+establish_done
+circuit 0 2 2 40 3 2 4 0 2 0 2 7
+record 1
+quarantine 3 2 6
+record 1
+zombie 5 4 10
+record 1
+duct_event 2 0
+record 4
+apply_end 5 0 1 2
+circuit 0 2 2 40 3 2 4 0 2 0 2 7
+tuned 0 2
+tuned 2 2
+record 1
+duct_event 1 1
+record 2
+begin_apply 6 0 1 slots 3
+circuit 0 2 2 40 3 0 5 2 2 1 3 12.300000000000001
+record 2
+teardown_begin slot 2
+circuit 0 2 2 40 3 2 4 0 2 0 2 7
+record 3
+establish_begin slot 0
+circuit 0 2 2 40 3 0 5 2 2 1 3 12.300000000000001
+alloc 2 2 0 1 2 2 3 1 5 2 0 1 2 0 1 2 2 3
+)";
+  const IntentJournal j = golden_journal();
+  EXPECT_EQ(j.to_text(), golden);
+  const IntentJournal reloaded = IntentJournal::from_text(golden);
+  EXPECT_FALSE(reloaded.dropped_torn_tail());
+  EXPECT_EQ(reloaded.size(), j.size());
+  EXPECT_EQ(reloaded.to_text(), golden);
 }
 
 // A crash can truncate the journal at ANY byte. Every truncation point must
@@ -237,9 +387,26 @@ TEST(JournalText, NegativeIndicesAreRejectedWithLineNumbers) {
   std::vector<IntentJournal> hostile(2);
   hostile[0].append(QuarantineRecord{0, -1, 5});
   hostile[1].append(ApplyEndRecord{0, 0, {circuit_on_edge(-1)}, {}});
+  std::vector<std::string> records;
   for (const IntentJournal& j : hostile) {
-    const std::string record =
-        j.to_text().substr(std::string("iris-journal v1\n").size());
+    records.push_back(
+        j.to_text().substr(std::string("iris-journal v1\n").size()));
+  }
+  // Numbers outside their field's range: a negative sequence number would
+  // wrap to 2^64 - 5 and save as text that no longer loads, a fiber count
+  // past int would narrow, and an unknown strategy or outcome would replay.
+  for (const char* record : {
+           "record 1\nbegin_apply -5 0 0\n",
+           "record 1\napply_end -5 0 0 0\n",
+           "record 8\ncheckpoint -5 0\nfibers 0\namps 0\nadd_drop 0\n"
+           "quarantined_txs 0\nzombies 0\nexpected_tuned 0\nfailed_ducts 0\n",
+           "record 2\nteardown_done\ncircuit 0 1 4294967297 1 2 0 1 1 0 0\n",
+           "record 1\nbegin_apply 0 7 0\n",
+           "record 1\napply_end 0 3 0 0\n",
+       }) {
+    records.emplace_back(record);
+  }
+  for (const std::string& record : records) {
     for (const std::string& text : {base + record, base + record + record}) {
       try {
         (void)IntentJournal::from_text(text);
@@ -263,6 +430,138 @@ TEST(JournalText, CorruptCheckpointThrowsEvenAsFinalRecord) {
   j.append(CheckpointRecord{cp});
   EXPECT_THROW((void)IntentJournal::from_text(j.to_text()),
                std::runtime_error);
+}
+
+// ---- seeded mutation fuzzing of IntentJournal::load ------------------------
+
+/// An async-plane journal cut off by a controller crash in its second apply:
+/// slot-stamped records and an open transaction at the tail.
+IntentJournal async_crash_journal() {
+  const Fixture& f = fixture();
+  DeviceLayer devices(f.map, f.net, f.plan);
+  IntentJournal journal;
+  IrisController controller(f.map, f.net, f.plan, devices);
+  controller.set_command_plane(CommandPlaneMode::kAsync);
+  controller.attach_journal(&journal);
+  controller.apply_traffic_matrix(demand(f.map, 0));
+  devices.fault_injector().arm_crash(9);
+  EXPECT_THROW(controller.apply_traffic_matrix(demand(f.map, 2)),
+               ControllerCrash);
+  return journal;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+  return text;
+}
+
+/// [begin, end) of every token that starts with a digit or a minus sign.
+std::vector<std::pair<std::size_t, std::size_t>> numeric_tokens(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t i = text.find_first_not_of(" \n"); i != std::string::npos;
+       i = text.find_first_not_of(" \n", i)) {
+    const std::size_t begin = i;
+    i = std::min(text.find_first_of(" \n", i), text.size());
+    if (std::isdigit(static_cast<unsigned char>(text[begin])) ||
+        text[begin] == '-') {
+      out.emplace_back(begin, i);
+    }
+  }
+  return out;
+}
+
+/// One mutant of `text`; `kind` picks the mutation.
+std::string mutate(const std::string& text, int kind, std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  std::vector<std::string> lines = split_lines(text);
+  switch (kind) {
+    case 0: {  // bit flip
+      std::string out = text;
+      out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+      return out;
+    }
+    case 1: {  // dropped line
+      const std::size_t i = pick(lines.size());
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i));
+      return join_lines(lines);
+    }
+    case 2: {  // duplicated line
+      const std::size_t i = pick(lines.size());
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+      return join_lines(lines);
+    }
+    case 3:  // swapped lines
+      std::swap(lines[pick(lines.size())], lines[pick(lines.size())]);
+      return join_lines(lines);
+    case 4: {  // numeric extreme
+      static const char* const kExtremes[] = {"-1", "2147483648",
+                                              "9223372036854775807", "1e308"};
+      const auto tokens = numeric_tokens(text);
+      const auto [b, e] = tokens[pick(tokens.size())];
+      return text.substr(0, b) + kExtremes[pick(4)] + text.substr(e);
+    }
+    default:  // truncation
+      return text.substr(0, pick(text.size()));
+  }
+}
+
+// Every mutant must either be rejected with a `journal` error or load to a
+// journal whose text reloads byte-identically and whose replay either folds
+// or rejects it with a `journal replay:` error -- never crash, hang or throw
+// anything else.
+TEST(JournalFuzz, MutantsAreRejectedOrRoundTrip) {
+  const std::vector<std::string> seeds = {journal_from_run().to_text(),
+                                          async_crash_journal().to_text()};
+  ASSERT_NE(seeds[1].find(" slot "), std::string::npos);
+  std::mt19937_64 rng(0x15a1);
+  constexpr int kKinds = 6;
+  constexpr int kPerKind = 250;
+  int rejected = 0;
+  int loaded = 0;
+  for (const std::string& seed : seeds) {
+    for (int kind = 0; kind < kKinds; ++kind) {
+      for (int n = 0; n < kPerKind; ++n) {
+        const std::string text = mutate(seed, kind, rng);
+        SCOPED_TRACE("mutation kind " + std::to_string(kind) + " #" +
+                     std::to_string(n));
+        IntentJournal journal;
+        try {
+          journal = IntentJournal::from_text(text);
+        } catch (const std::runtime_error& e) {
+          ++rejected;
+          ASSERT_TRUE(std::string(e.what()).starts_with("journal")) << e.what();
+          continue;
+        }
+        ++loaded;
+        const std::string saved = journal.to_text();
+        std::string resaved;
+        ASSERT_NO_THROW(resaved = IntentJournal::from_text(saved).to_text())
+            << text;
+        ASSERT_EQ(resaved, saved) << text;
+        try {
+          (void)journal.replay();
+        } catch (const std::runtime_error& e) {
+          ASSERT_TRUE(std::string(e.what()).starts_with("journal replay:"))
+              << e.what();
+        }
+      }
+    }
+  }
+  // Both outcomes must be common, or the mutations are too weak (or too
+  // destructive) to probe the reader.
+  EXPECT_GT(rejected, kKinds * kPerKind / 4);
+  EXPECT_GT(loaded, kKinds * kPerKind / 4);
 }
 
 TEST(JournalReplay, FoldsCommittedAppliesIntoStableState) {
