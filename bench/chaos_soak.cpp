@@ -19,19 +19,16 @@
 // escape hatch (immediate reroute of the active intent); the run fails
 // unless at least one hut-level event and one escape-hatch replan occurred.
 //
-// With `async=1` the controllers run the batched async command plane:
-// conflict-free circuits drain and establish concurrently on per-device
-// queues. The soak prints makespan statistics and runs a speedup demo on a
-// region with >= 4 port/duct-disjoint circuits, failing unless the async
-// reconfiguration makespan beats the serial baseline by >= 3x. The default
-// (`serial=1`) keeps every trace and this program's stdout byte-identical
-// to the pre-async-plane build.
+// The controller runs the conflict-graph command plane: conflict-free
+// circuits drain and establish concurrently on per-device queues. The soak
+// prints makespan statistics and runs a speedup demo on a region with >= 4
+// port/duct-disjoint circuits, failing unless the scheduled reconfiguration
+// makespan beats one-command-at-a-time execution of the same trace by >= 3x.
 //
 // Usage: bench_chaos_soak [samples] [seed] [key=value...]
 //                         [--metrics[=path]] [--steady-clock]
 //   keys: oss_connect_fail oss_disconnect_fail oss_port_stuck tx_tune_fail
 //         tx_dead amp_dead timeout_fraction crash_every_cmds srlg_chaos
-//         async serial
 // Malformed or unknown arguments are rejected with exit code 2 (the atof
 // family used to turn garbage into silent zeros). With no arguments the
 // soak is byte-identical to the unparameterized run; --metrics exports the
@@ -108,16 +105,19 @@ int usage_error(const char* what, const char* arg) {
                "  keys: oss_connect_fail oss_disconnect_fail oss_port_stuck\n"
                "        tx_tune_fail tx_dead amp_dead timeout_fraction\n"
                "        (rates in [0,1]) crash_every_cmds (integer >= 0)\n"
-               "        srlg_chaos async serial (0 or 1)\n");
+               "        srlg_chaos (0 or 1)\n");
   return 2;
 }
 
-/// Async acceptance demo: establish >= 4 circuits whose endpoints, routes
-/// and amp sites are pairwise disjoint on twin fault-free controllers, one
-/// serial and one async, and demand the async command plane beat the serial
-/// reconfiguration makespan by >= 3x. Device traces are identical in content
-/// (same commands, different schedule), so the final states must agree.
+/// Schedule acceptance demo: establish >= 4 circuits whose endpoints, routes
+/// and amp sites are pairwise disjoint on a fault-free controller, and
+/// demand the command-plane makespan beat the serial baseline by >= 3x. The
+/// baseline runs the executed trace one command at a time: the sum of its
+/// per-command latencies, plus the drain window and the receiver relock.
 void run_speedup_demo() {
+  // Its own registry: --metrics exports the soak alone.
+  obs::MetricsRegistry demo_registry;
+  const obs::ScopedRegistry scope(demo_registry);
   fibermap::RegionParams rp;
   rp.seed = 11;
   rp.dc_count = 10;
@@ -130,16 +130,13 @@ void run_speedup_demo() {
   const auto net = core::provision(map, params);
   const auto plan = core::place_amplifiers_and_cutthroughs(map, net);
   const control::FaultConfig no_faults;  // deterministic: no retries/backoff
-  control::DeviceLayer serial_devices(map, net, plan, no_faults);
-  control::DeviceLayer async_devices(map, net, plan, no_faults);
-  control::IrisController serial_ctl(map, net, plan, serial_devices);
-  control::IrisController async_ctl(map, net, plan, async_devices);
-  async_ctl.set_command_plane(control::CommandPlaneMode::kAsync);
+  control::DeviceLayer devices(map, net, plan, no_faults);
+  control::IrisController ctl(map, net, plan, devices);
 
   // Grow an endpoint-disjoint pair set greedily, certifying duct/amp-site
   // disjointness through the conflict graph itself: a candidate survives
   // only if the whole set still plans into a single schedule slot on a
-  // scratch async controller. Deterministic -- same map, same trial order.
+  // scratch controller. Deterministic -- same map, same trial order.
   control::TrafficMatrix tm;
   const auto& dcs = map.dcs();
   std::vector<graph::NodeId> used;
@@ -156,7 +153,6 @@ void run_speedup_demo() {
       trial[DcPair(dcs[i], dcs[j])] = 40;
       control::DeviceLayer scratch_devices(map, net, plan, no_faults);
       control::IrisController scratch(map, net, plan, scratch_devices);
-      scratch.set_command_plane(control::CommandPlaneMode::kAsync);
       try {
         const auto r = scratch.apply_traffic_matrix(trial);
         if (r.outcome == ApplyOutcome::kCommitted && r.schedule_slots == 1 &&
@@ -171,20 +167,21 @@ void run_speedup_demo() {
     }
   }
   check(tm.size() == 4, "demo region admits 4 disjoint circuits", 0);
-  const auto sr = serial_ctl.apply_traffic_matrix(tm);
-  const auto ar = async_ctl.apply_traffic_matrix(tm);
-  check(sr.outcome == ApplyOutcome::kCommitted, "demo serial apply committed",
-        0);
-  check(ar.outcome == ApplyOutcome::kCommitted, "demo async apply committed",
-        0);
-  check(serial_ctl.active_circuits().size() == tm.size() &&
-            async_ctl.active_circuits().size() == tm.size(),
+  const auto ar = ctl.apply_traffic_matrix(tm);
+  check(ar.outcome == ApplyOutcome::kCommitted, "demo apply committed", 0);
+  check(ctl.active_circuits().size() == tm.size(),
         "demo established one circuit per pair", 0);
+  // The demo's controller runs on the default DeviceLatencies, which the
+  // default CommandCosts mirror.
+  double serial_ms = ar.drain_ms + ar.recovery_ms;
+  for (const control::DeviceCommand& cmd : ctl.last_command_trace()) {
+    serial_ms += control::command_latency_ms(cmd, control::CommandCosts{});
+  }
   const double speedup =
-      ar.makespan_ms > 0.0 ? sr.makespan_ms / ar.makespan_ms : 0.0;
+      ar.makespan_ms > 0.0 ? serial_ms / ar.makespan_ms : 0.0;
   std::printf("# async speedup demo: %zu disjoint circuits in %d slot(s), "
               "makespan %.1f ms serial -> %.1f ms async (%.2fx)\n",
-              tm.size(), ar.schedule_slots, sr.makespan_ms, ar.makespan_ms,
+              tm.size(), ar.schedule_slots, serial_ms, ar.makespan_ms,
               speedup);
   check(ar.schedule_slots == 1, "demo circuits scheduled conflict-free", 0);
   check(speedup >= 3.0, "async makespan speedup >= 3x", 0);
@@ -269,18 +266,9 @@ int main(int argc, char** argv) {
   }
   auto faults = soak_faults(seed);
   bool srlg_chaos = false;
-  bool async_plane = false;
   for (const char* arg : overrides) {
     const auto kv = obs::split_kv(arg);
     if (!kv) return usage_error("fault override is not key=value", arg);
-    if (kv->first == "async" || kv->first == "serial") {
-      const auto v = obs::parse_ll(kv->second);
-      if (!v || (*v != 0 && *v != 1)) {
-        return usage_error("malformed command-plane flag", arg);
-      }
-      async_plane = (kv->first == "async") == (*v == 1);
-      continue;
-    }
     if (kv->first == "srlg_chaos") {
       const auto v = obs::parse_ll(kv->second);
       if (!v || (*v != 0 && *v != 1)) {
@@ -331,13 +319,10 @@ int main(int argc, char** argv) {
   // journal outlive any one controller process; each crash replaces only
   // the controller.
   const long long crash_every = faults.crash_after_commands;
-  const auto plane_mode = async_plane ? control::CommandPlaneMode::kAsync
-                                      : control::CommandPlaneMode::kSerial;
   control::DeviceLayer devices(map, net, plan, faults);
   control::IntentJournal journal;
   auto controller =
       std::make_unique<control::IrisController>(map, net, plan, devices);
-  controller->set_command_plane(plane_mode);
   controller->attach_journal(&journal);
 
   control::PolicyParams pp;
@@ -348,9 +333,6 @@ int main(int argc, char** argv) {
 
   std::printf("# chaos soak: %d closed-loop samples, fault seed 0x%llx\n",
               samples, static_cast<unsigned long long>(seed));
-  if (async_plane) {
-    std::printf("# command plane: async (batched issue, pipelined drains)\n");
-  }
   if (crash_every > 0) {
     std::printf("# crash schedule: controller killed every %lld commands\n",
                 crash_every);
@@ -483,7 +465,6 @@ int main(int argc, char** argv) {
         controller.reset();
         controller = std::make_unique<control::IrisController>(map, net, plan,
                                                                devices);
-        controller->set_command_plane(plane_mode);
         const control::RecoveryReport rr = controller->recover(journal);
         recovered_finished += rr.finished_establishes;
         recovered_reissued += rr.reissued_establishes;
@@ -536,7 +517,6 @@ int main(int argc, char** argv) {
       controller.reset();
       controller = std::make_unique<control::IrisController>(map, net, plan,
                                                              devices);
-      controller->set_command_plane(plane_mode);
       const control::RecoveryReport rr = controller->recover(journal);
       recovered_finished += rr.finished_establishes;
       recovered_reissued += rr.reissued_establishes;
@@ -582,12 +562,10 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12d\n", "  transceivers", s.quarantined_transceivers);
   std::printf("%-28s %12d\n", "zombie cross-connects", s.zombie_connects);
   std::printf("%-28s %12lld\n", "device audits passed", audits - violations);
-  if (async_plane) {
-    std::printf("%-28s %12.1f\n", "reconfig makespan ms (sum)",
-                total_makespan_ms);
-    std::printf("%-28s %12d\n", "max schedule slots", max_schedule_slots);
-    run_speedup_demo();
-  }
+  std::printf("%-28s %12.1f\n", "reconfig makespan ms (sum)",
+              total_makespan_ms);
+  std::printf("%-28s %12d\n", "max schedule slots", max_schedule_slots);
+  run_speedup_demo();
   if (srlg_chaos) {
     std::printf("%-28s %12lld\n", "srlg timeline events",
                 static_cast<long long>(schedule.size()));

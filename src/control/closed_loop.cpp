@@ -44,8 +44,8 @@ void run_closed_loop(IrisController& controller, Policy& policy,
   const auto fold_report = [&](const ReconfigReport& report) {
     result.oss_operations += report.oss_operations;
     result.total_capacity_gap_ms += report.capacity_gap_ms();
-    // Loop-local only (no registry mirror): metric dumps stay stable across
-    // serial and async planes.
+    // Loop-local only (no registry mirror): the controller.apply span
+    // already records each makespan.
     result.total_makespan_ms += report.makespan_ms;
     result.command_retries += report.command_retries;
     result.commands_timed_out += report.commands_timed_out;

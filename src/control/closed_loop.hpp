@@ -51,7 +51,7 @@ struct ClosedLoopResult {
   long long oss_operations = 0;
   double total_capacity_gap_ms = 0.0;
   /// Sum of per-apply command-plane makespans (ReconfigReport::makespan_ms):
-  /// the reconfiguration wall time the loop spent, serial or async.
+  /// the reconfiguration wall time the loop spent.
   double total_makespan_ms = 0.0;
   double last_apply_s = -1.0;
 

@@ -78,8 +78,7 @@ void CommandPlane::plan(std::vector<CommandOp> ops,
     for (std::size_t i = 0; i < j; ++i) {
       const bool barrier = establishes_before_teardowns && ops_[j].teardown &&
                            !ops_[i].teardown;
-      if (mode_ == CommandPlaneMode::kSerial || barrier ||
-          conflicts(ops_[i], ops_[j])) {
+      if (barrier || conflicts(ops_[i], ops_[j])) {
         deps_[j].push_back(i);
         slot_[j] = std::max(slot_[j], slot_[i] + 1);
       }
@@ -91,8 +90,8 @@ void CommandPlane::plan(std::vector<CommandOp> ops,
   for (std::size_t j = 0; j < n; ++j) order_[j] = j;
   // Slot-major, insertion-stable within a slot. Two conflicting ops never
   // share a slot and the later one always lands in a later slot, so the
-  // execution order preserves their serial relative order -- the property
-  // that makes the async final state equal the serial one.
+  // execution order preserves their insertion relative order: pool draws,
+  // and so the final state, are those of running the ops one at a time.
   std::stable_sort(order_.begin(), order_.end(),
                    [&](std::size_t a, std::size_t b) {
                      return slot_[a] < slot_[b];
@@ -100,8 +99,7 @@ void CommandPlane::plan(std::vector<CommandOp> ops,
   op_end_.assign(n, 0.0);
 }
 
-CommandPlane::DeviceKey CommandPlane::key_of(const DeviceCommand& cmd) const {
-  if (mode_ == CommandPlaneMode::kSerial) return {0, 0};  // one global queue
+CommandPlane::DeviceKey CommandPlane::key_of(const DeviceCommand& cmd) {
   struct Keyer {
     DeviceKey operator()(const OssConnectCmd& c) const { return {1, c.site}; }
     DeviceKey operator()(const OssDisconnectCmd& c) const {
@@ -121,7 +119,8 @@ CommandPlane::DeviceKey CommandPlane::key_of(const DeviceCommand& cmd) const {
   return std::visit(Keyer{}, cmd);
 }
 
-double CommandPlane::cost_of(const DeviceCommand& cmd) const {
+double command_latency_ms(const DeviceCommand& cmd,
+                          const CommandCosts& costs) {
   struct Coster {
     const CommandCosts& c;
     double operator()(const OssConnectCmd&) const { return c.oss_ms; }
@@ -131,7 +130,7 @@ double CommandPlane::cost_of(const DeviceCommand& cmd) const {
     double operator()(const SetAseFillCmd&) const { return c.amp_ms; }
     double operator()(const AmpPowerCheckCmd&) const { return c.amp_ms; }
   };
-  return std::visit(Coster{costs_}, cmd);
+  return std::visit(Coster{costs}, cmd);
 }
 
 void CommandPlane::add_floor(double delay_ms) {
@@ -151,7 +150,7 @@ void CommandPlane::on_command(const DeviceCommand& cmd) {
   double& avail = device_free_[key_of(cmd)];
   double t0 = std::max(floor_, avail);
   if (open_op_) t0 = std::max(t0, cursor_);
-  const double t1 = t0 + cost_of(cmd);
+  const double t1 = t0 + command_latency_ms(cmd, costs_);
   avail = t1;
   if (open_op_) cursor_ = t1;
   horizon_ = std::max(horizon_, t1);

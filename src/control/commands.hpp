@@ -7,13 +7,11 @@
 // hardware drivers, or diff two runs in tests.
 //
 // The CommandPlane turns the per-circuit work items of one apply into an
-// executable schedule. In serial mode every op depends on every earlier op
-// and all commands share one device queue -- the classic one-command-at-a-
-// time transaction. In async mode ops serialize only where they conflict
-// (shared duct, shared endpoint DC, overlapping amplifier-site candidates);
-// everything else drains and establishes concurrently on per-device queues,
-// and the deterministic virtual timeline makes the resulting makespan
-// reproducible bit-for-bit across runs and thread counts.
+// executable schedule. Ops serialize only where they conflict (shared duct,
+// shared endpoint DC, overlapping amplifier-site candidates); everything
+// else drains and establishes concurrently on per-device queues, and the
+// deterministic virtual timeline makes the resulting makespan reproducible
+// bit-for-bit across runs and thread counts.
 #pragma once
 
 #include <cstddef>
@@ -73,16 +71,8 @@ int count_commands(const std::vector<DeviceCommand>& trace) {
   return n;
 }
 
-/// How the controller sequences one apply's device commands.
-enum class CommandPlaneMode {
-  /// Strict transaction order, one global device queue. Byte-identical to
-  /// the historical controller: traces, journals and reports do not change.
-  kSerial,
-  /// Conflict-graph schedule: independent circuits drain/establish
-  /// concurrently, commands queue per device, dependent circuits keep their
-  /// serial relative order.
-  kAsync,
-};
+/// One value, read by nothing: perfbench/harness.cpp still assigns it.
+enum class CommandPlaneMode { kAsync };
 
 /// Per-command device latencies the virtual timeline charges (mirrors
 /// DeviceLatencies without pulling the device emulators into this header).
@@ -91,6 +81,12 @@ struct CommandCosts {
   double tune_ms = 1.0;  ///< one transceiver tune/disable
   double amp_ms = 2.0;   ///< one amplifier settle / power check / ASE refresh
 };
+
+/// What one command occupies its device for. Summed over a trace, plus the
+/// apply's drain window and relock tail, it is the makespan the apply would
+/// take with one command in flight at a time.
+[[nodiscard]] double command_latency_ms(const DeviceCommand& cmd,
+                                        const CommandCosts& costs);
 
 /// One schedulable unit of an apply: tear down or establish a single
 /// circuit. The resource footprint fields drive conflict detection; two ops
@@ -121,20 +117,16 @@ struct CommandOp {
 /// receiver-relock tail the controller adds once).
 class CommandPlane {
  public:
-  CommandPlane(CommandPlaneMode mode, CommandCosts costs)
-      : mode_(mode), costs_(costs) {}
+  explicit CommandPlane(CommandCosts costs) : costs_(costs) {}
 
   /// Computes slots and execution order. `establishes_before_teardowns`
-  /// inserts the make-before-break generation barrier: every establish op
-  /// completes before any teardown op starts, keeping the hitless contract.
-  /// In serial mode every op conflicts with every earlier op, so the order
-  /// is exactly the insertion order and the slots are 1..n.
+  /// inserts the make-before-break generation barrier: every teardown op
+  /// starts only after every establish inserted before it has completed,
+  /// keeping the hitless contract when the establishes come first.
+  /// When every op conflicts with every earlier one, the order is exactly
+  /// the insertion order and the slots are 1..n.
   void plan(std::vector<CommandOp> ops, bool establishes_before_teardowns);
 
-  [[nodiscard]] CommandPlaneMode mode() const noexcept { return mode_; }
-  [[nodiscard]] bool async() const noexcept {
-    return mode_ == CommandPlaneMode::kAsync;
-  }
   [[nodiscard]] const std::vector<CommandOp>& ops() const noexcept {
     return ops_;
   }
@@ -143,7 +135,7 @@ class CommandPlane {
   [[nodiscard]] int slot_of(std::size_t op) const { return slot_.at(op); }
   [[nodiscard]] int slot_count() const noexcept { return slot_count_; }
   /// Slot-major execution order, insertion-stable within a slot. Conflicting
-  /// ops always appear in their insertion (= serial) relative order.
+  /// ops always appear in their insertion relative order.
   [[nodiscard]] const std::vector<std::size_t>& order() const noexcept {
     return order_;
   }
@@ -158,7 +150,7 @@ class CommandPlane {
   void begin_op(std::size_t i);
   /// Charges one issued command onto its device queue and the open op's
   /// chain. Commands issued outside any op (retunes, rollback compensation)
-  /// queue per device in async mode and chain in serial mode.
+  /// only queue per device.
   void on_command(const DeviceCommand& cmd);
   /// Closes op `i`, charging `backoff_ms` of retry backoff onto its chain.
   void end_op(std::size_t i, double backoff_ms);
@@ -172,14 +164,11 @@ class CommandPlane {
   }
 
  private:
-  /// Queue key: one queue per (device kind, location). Serial mode collapses
-  /// everything onto a single queue.
+  /// Queue key: one queue per (device kind, location).
   using DeviceKey = std::pair<int, graph::NodeId>;
-  [[nodiscard]] DeviceKey key_of(const DeviceCommand& cmd) const;
-  [[nodiscard]] double cost_of(const DeviceCommand& cmd) const;
+  [[nodiscard]] static DeviceKey key_of(const DeviceCommand& cmd);
   [[nodiscard]] static bool conflicts(const CommandOp& a, const CommandOp& b);
 
-  CommandPlaneMode mode_;
   CommandCosts costs_;
   std::vector<CommandOp> ops_;
   std::vector<std::vector<std::size_t>> deps_;  ///< earlier conflicting ops

@@ -671,11 +671,11 @@ ReconfigReport IrisController::apply_traffic_matrix(const TrafficMatrix& tm,
   report.torn_down = plan.torn;
   report.set_up = plan.set_up;
   CommandPlane plane = command_plane_for(plan);
-  report.schedule_slots = plane.async() ? plane.slot_count() : 0;
+  report.schedule_slots = plane.slot_count();
 
   // The transaction opens. The effective strategy (after the fallback
   // decision) is recorded so a recovering successor rebuilds the same plan;
-  // the slot count pins the async schedule shape.
+  // the slot count pins the schedule shape.
   plan.seq = applies_completed_;
   jrec(BeginApplyRecord{
       plan.seq,
@@ -751,10 +751,9 @@ void IrisController::order_ops(ApplyPlan& plan, bool make_first) const {
     }
     establishes.push_back(std::move(op));
   }
-  // Ops enter the plane in serial execution order, so the serial plane's
-  // all-conflict graph reproduces it exactly and the async plane keeps
-  // every conflicting pair's relative order -- pool draws, and therefore the
-  // final state, match serial.
+  // Ops enter the plane in transaction order, and the plane keeps every
+  // conflicting pair's relative order: pool draws, and therefore the final
+  // state, match running the ops one at a time in this order.
   plan.make_first = make_first && !plan.set_up.empty();
   auto& first = plan.make_first ? establishes : teardowns;
   auto& second = plan.make_first ? teardowns : establishes;
@@ -781,8 +780,7 @@ IrisController::ApplyCursor IrisController::begin_cursor(
 }
 
 CommandPlane IrisController::command_plane_for(const ApplyPlan& plan) const {
-  CommandPlane plane(plane_mode_,
-                     CommandCosts{latencies_.oss_switch_ms,
+  CommandPlane plane(CommandCosts{latencies_.oss_switch_ms,
                                   latencies_.transceiver_tune_ms,
                                   latencies_.amplifier_settle_ms});
   plane.plan(plan.ops, plan.make_first);
@@ -799,10 +797,8 @@ void IrisController::execute(const ApplyPlan& plan, ApplyCursor& cur,
   struct PlaneScope {
     IrisController* self;
     ~PlaneScope() {
-      if (self->plane_->async()) {
-        obs::registry().add("controller.commands.batched",
-                            self->plane_->commands_issued());
-      }
+      obs::registry().add("controller.commands.batched",
+                          self->plane_->commands_issued());
       self->plane_ = nullptr;
       self->current_slot_ = -1;
       self->devices_->fault_injector().set_schedule_slot(-1);
@@ -855,7 +851,7 @@ void IrisController::execute(const ApplyPlan& plan, ApplyCursor& cur,
                                   : cur.made[op.index].has_value();
     if (done) continue;  // finished before a crash
     if (plan.make_first && op.teardown) mbb_cutover();
-    current_slot_ = plane.async() ? plane.slot_of(oi) : -1;
+    current_slot_ = plane.slot_of(oi);
     devices_->fault_injector().set_schedule_slot(current_slot_);
     plane.begin_op(oi);
     const double delay_before = report.fault_delay_ms;

@@ -90,13 +90,12 @@ struct ReconfigReport {
   double fault_delay_ms = 0.0;   ///< retry backoff + command timeouts
 
   /// End-to-end reconfiguration makespan on the command plane's virtual
-  /// clock: drain windows + per-command device latencies + retry backoff +
-  /// receiver relock. Unlike capacity_gap_ms(), this charges every issued
-  /// device command, so it is the serial baseline the async plane's speedup
-  /// is measured against. Matches the duration of the obs `controller.apply`
-  /// span.
+  /// clock: drain windows + per-command device latencies on their device
+  /// queues + retry backoff + receiver relock. Unlike capacity_gap_ms(),
+  /// this charges every issued device command. Matches the duration of the
+  /// obs `controller.apply` span.
   double makespan_ms = 0.0;
-  /// Command-plane schedule slots this apply used (0 = serial plane).
+  /// Command-plane schedule slots this apply used (0 = no circuit changed).
   int schedule_slots = 0;
 
   /// True when the network ended the apply carrying the requested circuit
@@ -249,17 +248,6 @@ class IrisController {
   ReconfigReport apply_traffic_matrix(
       const TrafficMatrix& tm,
       ReconfigStrategy strategy = ReconfigStrategy::kBreakBeforeMake);
-
-  /// Selects how applies schedule their device commands. kSerial (default)
-  /// is byte-identical to the historical controller; kAsync runs
-  /// conflict-free teardowns/establishes concurrently on per-device queues
-  /// (same final state, journaled with schedule slots, smaller makespan).
-  void set_command_plane(CommandPlaneMode mode) noexcept {
-    plane_mode_ = mode;
-  }
-  [[nodiscard]] CommandPlaneMode command_plane() const noexcept {
-    return plane_mode_;
-  }
 
   /// Marks a duct failed; the next apply_traffic_matrix reroutes around it.
   /// Circuits already riding the duct keep their resources but carry no
@@ -537,7 +525,6 @@ class IrisController {
   DeviceLayer* devices_ = nullptr;
 
   IntentJournal* journal_ = nullptr;  ///< not owned; nullptr = no journaling
-  CommandPlaneMode plane_mode_ = CommandPlaneMode::kSerial;
   CommandPlane* plane_ = nullptr;  ///< live only inside execute()
   int current_slot_ = -1;          ///< schedule slot of the op being executed
   int checkpoint_every_ = 16;

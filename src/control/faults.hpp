@@ -94,8 +94,8 @@ struct FaultConfig {
 struct ControllerCrash {
   long long commands_executed = 0;  ///< commands completed before the crash
   /// Schedule slot of the command-plane op being executed at the crash point
-  /// (-1 when the controller is running serially or outside an op). Crash
-  /// harnesses use it to audit that every async slot interleaving recovers.
+  /// (-1 outside a scheduled op: rollback, retunes, recovery repairs). Crash
+  /// harnesses use it to audit that every slot interleaving recovers.
   int schedule_slot = -1;
 };
 

@@ -25,11 +25,10 @@ overloaded(Ts...) -> overloaded<Ts...>;
 
 /// How the reader checks an integer. A torn write only truncates, so it
 /// cannot yield a value outside [lo, hi]: that is corruption and throws past
-/// the torn-tail tolerance, unless `soft_error` makes it a parse failure.
+/// the torn-tail tolerance.
 struct Bound {
   long long lo = 0;
   long long hi = INT_MAX;
-  const char* soft_error = nullptr;
 };
 constexpr Bound kIndex;  ///< a node, edge, DC, port or pool index
 constexpr Bound kUnsigned{0, LLONG_MAX};
@@ -49,8 +48,8 @@ class Writer {
   void num(const T& v, const char*, Bound = kIndex) {
     os_ << ' ' << v;
   }
-  /// Omitted at or below its default (the serial command plane).
-  void tagged(int v, const char* tag, int dflt, const char*) {
+  /// Omitted at or below its default (a record outside a scheduled op).
+  void tagged(int v, const char* tag, int dflt) {
     if (v > dflt) os_ << ' ' << tag << ' ' << v;
   }
   void optional(const std::optional<int>& v, const char*, const char*) {
@@ -151,17 +150,16 @@ class Reader {
     }
     const long long x = read(what);
     if (x < b.lo || x > b.hi) {
-      if (b.soft_error != nullptr) fail(b.soft_error);
       throw std::runtime_error("journal: line " + std::to_string(next_) +
                                ": bad " + what + " " + std::to_string(x));
     }
     v = static_cast<T>(x);
   }
-  void tagged(int& v, const char* tag, int dflt, const char* error) {
+  void tagged(int& v, const char* tag, int dflt) {
     v = dflt;
     if ((ss_ >> std::ws).eof()) return;
     expect(tag);
-    num(v, tag, Bound{dflt, kMaxCount, error});
+    num(v, tag, Bound{dflt, kMaxCount});
   }
   void optional(std::optional<int>& v, const char* flag, const char* what) {
     if (read(flag) != 0) num(v.emplace(), what);
@@ -322,14 +320,14 @@ void fields(IO& io, R& r) {
   io.num(r.seq, "seq", kUnsigned);
   io.num(r.strategy, "strategy", Bound{0, 1});
   const std::size_t n = io.size(r.target, "target count");
-  io.tagged(r.slots, "slots", 0, "bad slot count");
+  io.tagged(r.slots, "slots", 0);
   io.items(r.target, n, [&](auto& c) { fields(io, c); });
 }
 
 template <class IO, class R>
   requires Of<R, TeardownBeginRecord> || Of<R, EstablishBeginRecord>
 void fields(IO& io, R& r) {
-  io.tagged(r.slot, "slot", -1, "bad schedule slot");
+  io.tagged(r.slot, "slot", -1);
   fields(io, r.circuit);
   if constexpr (Of<R, EstablishBeginRecord>) fields(io, r.alloc);
 }
@@ -345,7 +343,7 @@ void fields(IO& io, R& r) {
 
 template <class IO, Of<QuarantineRecord> R>
 void fields(IO& io, R& r) {
-  io.num(r.kind, "kind", Bound{0, 3, "bad quarantine kind"});
+  io.num(r.kind, "quarantine kind", Bound{0, 3});
   io.num(r.a, "quarantine duct/site");
   io.num(r.b, "quarantine unit");
 }
@@ -353,7 +351,7 @@ void fields(IO& io, R& r) {
 template <class IO, Of<DuctEventRecord> R>
 void fields(IO& io, R& r) {
   io.num(r.duct, "duct");
-  io.num(r.failed, "failed flag", Bound{0, 1, "bad duct_event flag"});
+  io.num(r.failed, "duct_event flag", Bound{0, 1});
 }
 
 template <class IO, Of<ApplyEndRecord> R>
@@ -689,6 +687,11 @@ IntentJournal::Intent IntentJournal::replay() const {
               st.active = r.active;
               st.allocations = std::move(allocations);
               st.expected_tuned = r.expected_tuned;
+              // The count must save as text that loads back (kUnsigned).
+              if (st.applies_completed >=
+                  static_cast<std::uint64_t>(LLONG_MAX)) {
+                replay_fail("applies_completed past 2^63 - 1");
+              }
               ++st.applies_completed;
               ifa.reset();
             },

@@ -45,10 +45,12 @@
 //   alloc <hop...> <0 | 1 site> <amp unit...> <add/drop a...> <add/drop b...>
 //         (each hop is itself `<fiber...>`)
 //
-// `slots`/`slot` appear only on the async command plane. A value a torn
-// write cannot produce -- a negative index or sequence number, a fiber count
-// past int, an unknown strategy or outcome -- is corruption even in the
-// final record.
+// `slots`/`slot` appear only on records of a scheduled op: a rollback or
+// retune-tail record, or one written before schedules had slots, omits
+// them and still loads. A value a torn write cannot produce -- a negative
+// index, sequence number or slot, a fiber count past int, an unknown
+// strategy, outcome, quarantine kind or duct_event flag -- is corruption
+// even in the final record.
 #pragma once
 
 #include <cstdint>
@@ -121,13 +123,14 @@ struct BeginApplyRecord {
   std::uint64_t seq = 0;
   int strategy = 0;  ///< ReconfigStrategy as int
   std::vector<Circuit> target;
-  /// Command-plane schedule slots of this apply (0 = serial plane; the
-  /// record serializes byte-identically to the historical format then).
+  /// Command-plane schedule slots of this apply (0 = none: an apply that
+  /// changed no circuit; omitted on the wire).
   int slots = 0;
 };
 struct TeardownBeginRecord {
   Circuit circuit;
-  /// Schedule slot the op ran in (-1 = serial plane; omitted on the wire).
+  /// Schedule slot the op ran in (-1 = outside a scheduled op, such as a
+  /// rollback; omitted on the wire).
   int slot = -1;
 };
 struct TeardownDoneRecord {
@@ -139,7 +142,8 @@ struct TeardownDoneRecord {
 struct EstablishBeginRecord {
   Circuit circuit;
   AllocationRecord alloc;
-  /// Schedule slot the op ran in (-1 = serial plane; omitted on the wire).
+  /// Schedule slot the op ran in (-1 = outside a scheduled op, such as a
+  /// rollback; omitted on the wire).
   int slot = -1;
 };
 struct EstablishDoneRecord {
@@ -216,14 +220,14 @@ class IntentJournal {
     Circuit circuit;
     std::optional<AllocationRecord> alloc;
     bool done = false;
-    int slot = -1;  ///< command-plane schedule slot (-1 = serial plane)
+    int slot = -1;  ///< command-plane schedule slot (-1 = none)
   };
   struct InFlightApply {
     std::uint64_t seq = 0;
     int strategy = 0;
     std::vector<Circuit> target;
     std::vector<PendingOp> ops;
-    int slots = 0;  ///< schedule slot count (0 = serial plane)
+    int slots = 0;  ///< schedule slot count (0 = none)
   };
   /// The journal's reconstructed intent: the stable state as of the last
   /// terminal record (checkpoint + committed applies folded in), plus the

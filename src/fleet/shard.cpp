@@ -82,7 +82,6 @@ void RegionShard::build() {
                                                     *amp_cut_, cfg_.faults);
   controller_ = std::make_unique<control::IrisController>(
       *map_, *network_, *amp_cut_, *devices_);
-  controller_->set_command_plane(cfg_.command_plane);
   if (supervised()) {
     // The journal lives in the shard -- outside the controller, like the
     // devices -- so it survives controller death and seeds recover().
@@ -283,7 +282,6 @@ RegionShard::Containment RegionShard::contain_crash(double t) {
     *journal_ = control::IntentJournal::from_text(journal_->to_text());
     controller_ = std::make_unique<control::IrisController>(
         *map_, *network_, *amp_cut_, *devices_);
-    controller_->set_command_plane(cfg_.command_plane);
     if (sup.arm_during_recovery > 0 && !recovery_crash_armed_) {
       recovery_crash_armed_ = true;  // one-shot test hook
       devices_->fault_injector().arm_crash(sup.arm_during_recovery);

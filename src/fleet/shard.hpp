@@ -56,10 +56,8 @@ struct RegionConfig {
   /// shard attaches no journal and emits no supervisor series, keeping
   /// crash-free traces byte-identical to pre-supervision builds.
   SupervisorParams supervisor;
-  /// Command-plane scheduling for the shard's controller (and any recovery
-  /// successor the supervisor raises). Serial by default: fleet traces stay
-  /// byte-identical to pre-async builds unless a run opts in.
-  control::CommandPlaneMode command_plane = control::CommandPlaneMode::kSerial;
+  /// One value, read by nothing: perfbench/harness.cpp still assigns it.
+  control::CommandPlaneMode command_plane = control::CommandPlaneMode::kAsync;
 };
 
 /// The fleet-level run request: M regions derived from one base config.

@@ -116,12 +116,10 @@ bool contains_circuit(const std::vector<Circuit>& circuits, const Circuit& c) {
 }
 
 /// No-crash reference: same schedule, journaled, fault-free devices.
-RunResult run_reference(const Fixture& f = fixture(),
-                        CommandPlaneMode plane = CommandPlaneMode::kSerial) {
+RunResult run_reference(const Fixture& f = fixture()) {
   DeviceLayer devices(f.map, f.net, f.plan);
   IntentJournal journal;
   IrisController controller(f.map, f.net, f.plan, devices);
-  controller.set_command_plane(plane);
   controller.attach_journal(&journal);
   RunResult result;
   for (const Step& step : make_schedule(f)) {
@@ -162,7 +160,6 @@ RunResult run_reference(const Fixture& f = fixture(),
 /// The crash-interrupted apply is resolved by recovery, so the step is
 /// complete once recover() returns.
 RunResult run_with_crashes(long long k, const Fixture& f = fixture(),
-                           CommandPlaneMode plane = CommandPlaneMode::kSerial,
                            bool rearm = true) {
   FaultConfig cfg;
   cfg.crash_after_commands = k;
@@ -170,7 +167,6 @@ RunResult run_with_crashes(long long k, const Fixture& f = fixture(),
   IntentJournal journal;
   auto controller =
       std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
-  controller->set_command_plane(plane);
   controller->attach_journal(&journal);
   RunResult result;
 
@@ -182,7 +178,6 @@ RunResult run_with_crashes(long long k, const Fixture& f = fixture(),
     const auto intent = journal.replay();  // pre-recovery committed truth
     controller =
         std::make_unique<IrisController>(f.map, f.net, f.plan, devices);
-    controller->set_command_plane(plane);
     const RecoveryReport rr = controller->recover(journal);
     EXPECT_TRUE(rr.audit.clean()) << rr.audit.summary();
     // No committed circuit may be lost. A committed roll-forward carries
@@ -273,11 +268,11 @@ TEST(CrashRecovery, KSweepConvergesToNoCrashExecution) {
 
 // Exhaustive form of the sweep on a small region: one crash at EVERY
 // command boundary p = 1..N of the schedule (BBM and MBB applies, a duct
-// failure and repair), on the given command plane. Each run must recover to
-// the no-crash fingerprints at every step.
-void sweep_every_command_boundary(CommandPlaneMode plane) {
+// failure and repair). Each run must recover to the no-crash fingerprints
+// at every step.
+TEST(CrashRecovery, CrashAtEveryCommandBoundary) {
   const Fixture& f = small_fixture();
-  const RunResult ref = run_reference(f, plane);
+  const RunResult ref = run_reference(f);
   ASSERT_FALSE(ref.fingerprints.empty());
   ASSERT_GT(ref.break_before_make, 0);
   ASSERT_GT(ref.make_before_break, 0);
@@ -285,20 +280,12 @@ void sweep_every_command_boundary(CommandPlaneMode plane) {
   for (long long p = 1; p <= ref.commands; ++p) {
     SCOPED_TRACE("crash at command " + std::to_string(p) + " of " +
                  std::to_string(ref.commands));
-    const RunResult run = run_with_crashes(p, f, plane, /*rearm=*/false);
+    const RunResult run = run_with_crashes(p, f, /*rearm=*/false);
     ASSERT_EQ(run.crashes, 1);
     ASSERT_EQ(run.recoveries_with_in_flight, 1);
     EXPECT_EQ(run.rejected, ref.rejected);
     ASSERT_EQ(run.fingerprints, ref.fingerprints);
   }
-}
-
-TEST(CrashRecovery, CrashAtEveryCommandBoundarySerial) {
-  sweep_every_command_boundary(CommandPlaneMode::kSerial);
-}
-
-TEST(CrashRecovery, CrashAtEveryCommandBoundaryAsync) {
-  sweep_every_command_boundary(CommandPlaneMode::kAsync);
 }
 
 TEST(CrashRecovery, SameCrashScheduleIsDeterministic) {

@@ -379,19 +379,24 @@ TEST(FleetSupervisor, RecoversAndMatchesSoloBitIdentical) {
   }
 }
 
-// Supervised recovery over the async command plane: shards run batched
-// pipelined applies, the supervisor kills them on schedule, and recovered
-// fleet traces still match the solo run bit-for-bit -- the async schedule
-// changes the virtual clock, not the recoverable state.
+// Supervised recovery over the batched command plane: shards run
+// pipelined applies (the batched-command counter is live), the supervisor
+// kills them on schedule, and recovered fleet traces still match the solo
+// run bit-for-bit.
 TEST(FleetSupervisor, RecoversOverAsyncCommandPlane) {
   std::string region0_trace;
   for (const int regions : {1, 2}) {
     auto params = small_fleet(regions, 16);
-    params.base.command_plane = control::CommandPlaneMode::kAsync;
     params.base.supervisor.crash_every_cmds = 40;
     fleet::Fleet fleet(params);
     fleet.start();
     fleet.join();
+#ifndef IRIS_OBS_OFF
+    obs::MetricsRegistry merged;
+    fleet.merge_metrics(merged);
+    EXPECT_GT(merged.counter("controller.commands.batched"), 0)
+        << "M=" << regions;
+#endif
     EXPECT_TRUE(fleet.ok());
     EXPECT_GT(fleet.supervisor().total_recoveries(), 0) << "M=" << regions;
     EXPECT_EQ(fleet.supervisor().quarantined_regions(), 0);

@@ -394,7 +394,8 @@ TEST(JournalText, NegativeIndicesAreRejectedWithLineNumbers) {
   }
   // Numbers outside their field's range: a negative sequence number would
   // wrap to 2^64 - 5 and save as text that no longer loads, a fiber count
-  // past int would narrow, and an unknown strategy or outcome would replay.
+  // past int would narrow, and an unknown strategy, outcome, quarantine
+  // kind or duct_event flag, or a negative slot count, would replay.
   for (const char* record : {
            "record 1\nbegin_apply -5 0 0\n",
            "record 1\napply_end -5 0 0 0\n",
@@ -403,6 +404,9 @@ TEST(JournalText, NegativeIndicesAreRejectedWithLineNumbers) {
            "record 2\nteardown_done\ncircuit 0 1 4294967297 1 2 0 1 1 0 0\n",
            "record 1\nbegin_apply 0 7 0\n",
            "record 1\napply_end 0 3 0 0\n",
+           "record 1\nbegin_apply 0 0 0 slots -3\n",
+           "record 1\nquarantine 9 0 0\n",
+           "record 1\nduct_event 0 7\n",
        }) {
     records.emplace_back(record);
   }
@@ -434,14 +438,13 @@ TEST(JournalText, CorruptCheckpointThrowsEvenAsFinalRecord) {
 
 // ---- seeded mutation fuzzing of IntentJournal::load ------------------------
 
-/// An async-plane journal cut off by a controller crash in its second apply:
-/// slot-stamped records and an open transaction at the tail.
-IntentJournal async_crash_journal() {
+/// A journal cut off by a controller crash in its second apply: slot-stamped
+/// records and an open transaction at the tail.
+IntentJournal crash_journal() {
   const Fixture& f = fixture();
   DeviceLayer devices(f.map, f.net, f.plan);
   IntentJournal journal;
   IrisController controller(f.map, f.net, f.plan, devices);
-  controller.set_command_plane(CommandPlaneMode::kAsync);
   controller.attach_journal(&journal);
   controller.apply_traffic_matrix(demand(f.map, 0));
   devices.fault_injector().arm_crash(9);
@@ -522,7 +525,7 @@ std::string mutate(const std::string& text, int kind, std::mt19937_64& rng) {
 // anything else.
 TEST(JournalFuzz, MutantsAreRejectedOrRoundTrip) {
   const std::vector<std::string> seeds = {journal_from_run().to_text(),
-                                          async_crash_journal().to_text()};
+                                          crash_journal().to_text()};
   ASSERT_NE(seeds[1].find(" slot "), std::string::npos);
   std::mt19937_64 rng(0x15a1);
   constexpr int kKinds = 6;
@@ -718,6 +721,39 @@ TEST(JournalReplay, MalformedLogsThrow) {
     j.append(ApplyEndRecord{0, 0, {circuit_on_edge(0)}, {}});
     const auto intent = j.replay();
     EXPECT_EQ(intent.stable.free_fibers[0], std::vector<int>{1});
+  }
+}
+
+// applies_completed saves as a signed 64-bit count: a fold that would carry
+// it past 2^63 - 1 is rejected, or the checkpoint recovery writes next
+// would read back as a torn tail and be dropped.
+TEST(JournalReplay, AppliesCompletedPastInt64IsRejected) {
+  for (const std::uint64_t start :
+       {std::uint64_t{9223372036854775806ULL},
+        std::uint64_t{9223372036854775807ULL}}) {
+    ControllerCheckpoint cp;
+    cp.applies_completed = start;
+    IntentJournal j;
+    j.append(CheckpointRecord{cp});
+    j.append(BeginApplyRecord{start, 0, {}});
+    j.append(ApplyEndRecord{start, 0, {}, {}});
+    j = IntentJournal::from_text(j.to_text());
+    if (start < 9223372036854775807ULL) {
+      const auto intent = j.replay();
+      IntentJournal next;
+      next.append(CheckpointRecord{intent.stable});
+      const IntentJournal reloaded = IntentJournal::from_text(next.to_text());
+      EXPECT_FALSE(reloaded.dropped_torn_tail());
+      EXPECT_EQ(reloaded.size(), 1u);
+      continue;
+    }
+    try {
+      (void)j.replay();
+      FAIL() << "applies_completed overflow accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(std::string(e.what()).starts_with("journal replay:"))
+          << e.what();
+    }
   }
 }
 
