@@ -268,9 +268,10 @@ TEST(CrashRecovery, KSweepConvergesToNoCrashExecution) {
 
 // Exhaustive form of the sweep on a small region: one crash at EVERY
 // command boundary p = 1..N of the schedule (BBM and MBB applies, a duct
-// failure and repair). Each run must recover to the no-crash fingerprints
-// at every step.
-TEST(CrashRecovery, CrashAtEveryCommandBoundary) {
+// failure and repair) on the conflict-graph (async) command plane, the one
+// plane every apply runs on. Each run must recover to the no-crash
+// fingerprints at every step.
+TEST(CrashRecovery, CrashAtEveryCommandBoundaryAsync) {
   const Fixture& f = small_fixture();
   const RunResult ref = run_reference(f);
   ASSERT_FALSE(ref.fingerprints.empty());
